@@ -19,7 +19,10 @@
 // UpdateValues → Refactorize round trip of the versioned-matrix
 // machinery on a tiny system, printing the matrix/factor epoch
 // numbers and the update/refactorize counters it produced, so the
-// live-update surface is observable from the CLI.
+// live-update surface is observable from the CLI. A solve-sweep line
+// reports the measured single-vector solve decision of a default
+// factorization: whether the triangular sweeps run p2p-scheduled or
+// staged inline, with the probe's apply time each way.
 //
 // -stats appends the process-wide execution runtime's activity
 // counter deltas (regions, chunk claims, steals, gang admissions +
@@ -75,6 +78,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err := printEpochReport(stdout); err != nil {
 		fmt.Fprintf(stderr, "javelin-info: epoch report: %v\n", err)
+		return 1
+	}
+	if err := printSweepReport(stdout); err != nil {
+		fmt.Fprintf(stderr, "javelin-info: solve sweep report: %v\n", err)
 		return 1
 	}
 	fmt.Fprintln(stdout)
@@ -137,5 +144,20 @@ func printEpochReport(w io.Writer) error {
 	e := p.Engine()
 	fmt.Fprintf(w, "epoch discipline: matrix epoch %d (%d updates), factor epoch %d (%d refactorizes, %d failed)\n",
 		vm.Epoch(), vm.Updates(), e.FactorEpoch(), e.Refactorizes(), e.RefactorizeFailures())
+	return nil
+}
+
+// printSweepReport factorizes a 24³ 7-point Laplacian at the default
+// thread count and prints the engine's measured single-vector solve
+// decision: p2p-scheduled or staged inline sweeps, with the probe's
+// best apply time each way.
+func printSweepReport(w io.Writer) error {
+	p, err := javelin.Factorize(javelin.GridLaplacian(24, 24, 24, javelin.Star7, 0.1), javelin.DefaultOptions())
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+	e := p.Engine()
+	fmt.Fprintf(w, "solve sweep: %s on a 24³ Laplacian, threads=%d\n", e.SolveSweep(), e.Threads())
 	return nil
 }

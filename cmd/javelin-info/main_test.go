@@ -44,7 +44,7 @@ func TestRunCapabilityReport(t *testing.T) {
 	if rc != 0 {
 		t.Fatalf("rc=%d stderr=%s", rc, errb.String())
 	}
-	for _, want := range []string{"numeric kernels:", "cpu features:", "asm-backed slots:"} {
+	for _, want := range []string{"numeric kernels:", "cpu features:", "asm-backed slots:", "solve sweep:"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("capability report missing %q:\n%s", want, out.String())
 		}

@@ -202,7 +202,11 @@
 // to the runtime's parallelism: the p2p sweeps run as gangs (all
 // lanes simultaneously, since lanes spin-wait on each other's
 // progress), and a gang wider than the runtime would have to fall
-// back to spawning goroutines per call. Concurrent solves over a
+// back to spawning goroutines per call. A p2p sweep synchronizes per
+// block — one lane's contiguous rows within one level: the lane waits
+// once before the block (at most once per other lane), runs the whole
+// block as one kernel call, and publishes its progress once after it,
+// so synchronization costs scale with levels, not rows. Concurrent solves over a
 // shared runtime are admission-controlled — gangs queue when the pool
 // is momentarily full rather than deadlocking — so oversubscription
 // degrades to serialization, never to incorrectness.
@@ -242,12 +246,16 @@
 // mul-then-add rounds twice, so a fused kernel would change solver
 // trajectories in the low bits. Switching variants therefore never
 // changes a trajectory. The dispatch layer pairs with an adaptive
-// parallel cutoff: each parallel region is entered only when a cost
-// model (flops vs the runtime's measured region-dispatch overhead)
-// predicts a win, and otherwise the same staged traversal runs inline
-// on the calling goroutine — bit-identical to the parallel execution,
-// so the cutoff is invisible except in time. Asking for 8 threads on
-// a 500-row factor now costs what the serial loop costs.
+// parallel cutoff: each factorization region and each k-RHS batch
+// sweep is entered only when a cost model (flops vs the runtime's
+// measured region-dispatch overhead) predicts a win, and otherwise
+// the same staged traversal runs inline on the calling goroutine —
+// bit-identical to the parallel execution, so the cutoff is invisible
+// except in time. The single-vector solve, whose p2p waits and worker
+// wake-ups no region model prices, is decided by measurement instead:
+// Factorize times a few real applies both ways and keeps the faster
+// (javelin-info prints the decision and both timings). Asking for 8
+// threads on a 500-row factor costs what the serial loop costs.
 //
 // # Runtime metrics
 //

@@ -293,12 +293,13 @@ func (c *SolveContext) batchSolve(B, X [][]float64, block func(*SolveContext, []
 
 // solveLowerBlock is the batched forward substitution on the packed
 // n×k block xb (xb[i*k+j] is entry i of right-hand side j). The
-// traversal mirrors SolveLower exactly — p2p upper stage, tiled
-// spmv-like lower sweep, group-parallel corner — with each row's
-// factor entries applied to all k columns through the dense-panel
-// micro-kernel. Batch work scales with k, so the adaptive cutoff
-// gets 2·nnz·k: a batch big enough can go parallel even when the
-// single-vector solve of the same factor stays inline.
+// traversal mirrors SolveLower exactly — p2p upper stage (a
+// PanelUpdate loop per block), tiled spmv-like lower sweep,
+// group-parallel corner — with each row's factor entries applied to
+// all k columns through the dense-panel micro-kernel. Batch work
+// scales with k, so the adaptive cutoff gets 2·nnz·k: a batch big
+// enough can go parallel even when the single-vector solve of the
+// same factor stays inline.
 //
 // Like SolveLower, the closures handed to the runtime are created
 // only on the parallel branch; the Threads==1 and sub-cutoff inline
@@ -324,9 +325,10 @@ func (c *SolveContext) solveLowerBlock(xb []float64, k int) {
 	nUp, n := e.split.NUpper, e.n
 	if par {
 		//javelin:alloc-ok parallel dispatch handoff; the inline path below allocates nothing
-		c.runL.Execute(func(r int) {
-			lo, dp := lu.RowPtr[r], e.factor.DiagPos[r]
-			kt.PanelUpdate(xb, k, xb[r*k:r*k+k], vals, lu.ColIdx, lo, dp)
+		c.runL.Execute(func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				kt.PanelUpdate(xb, k, xb[r*k:r*k+k], vals, lu.ColIdx, lu.RowPtr[r], e.factor.DiagPos[r])
+			}
 		})
 	} else {
 		for r := 0; r < nUp; r++ {
@@ -416,7 +418,18 @@ func (c *SolveContext) solveUpperBlock(xb []float64, k int) {
 			hi := nUp + e.split.LowerLvlPtr[g+1]
 			e.parallelRows(lo, hi, rowBody)
 		}
-		c.runU.Execute(rowBody)
+		//javelin:alloc-ok parallel dispatch handoff
+		c.runU.Execute(func(lo, hi int) {
+			if rows := e.bwdRows; rows != nil {
+				for _, r := range rows[lo:hi] {
+					rowBody(r)
+				}
+				return
+			}
+			for r := hi - 1; r >= lo; r-- {
+				rowBody(r)
+			}
+		})
 		return
 	}
 	// Rows within a corner group are independent and the groups are

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"javelin/internal/exec"
 	"javelin/internal/ilu"
@@ -165,6 +166,11 @@ type Engine struct {
 
 	schedL *p2p.Schedule // forward deps (ILU upper stage + L-solve)
 	schedU *p2p.Schedule // backward deps on upper rows (U-solve)
+	// bwdRows is nil when schedU runs the forward levels reversed on
+	// row ids; otherwise schedU runs over positions into bwdRows, the
+	// upper rows sorted by recomputed backward level (see
+	// buildSchedules).
+	bwdRows []int
 
 	// invPerm caches split.Perm.Inverse() so the per-Refactorize
 	// scatter stays allocation-free (the permutation is immutable
@@ -175,9 +181,10 @@ type Engine struct {
 	// solve never observes a mid-run kernels.Select.
 	kt *kernels.Table
 	// Work estimates (in ~1ns ops) for the adaptive parallel cutoff:
-	// one triangular solve pass, the upper factor stage, and the lower
-	// factor stage respectively. Crude deliberately — the cutoff only
-	// needs order-of-magnitude truth against measured region overhead.
+	// one triangular solve pass (times k for a k-RHS batch sweep), the
+	// upper factor stage, and the lower factor stage respectively.
+	// Crude deliberately — the cutoff only needs order-of-magnitude
+	// truth against measured region overhead.
 	solveOps, upperOps, lowerOps int64
 
 	// cornerStart[r-NUpper] is the first sub-diagonal index of corner
@@ -188,12 +195,13 @@ type Engine struct {
 	// every element on its column.
 	cornerStart []int
 
-	// solvePar is the adaptive-cutoff decision for single-vector
-	// triangular solves, evaluated once at factorization. The decision
-	// only selects scheduling — inline and parallel execution are
-	// bitwise identical — so re-evaluating it per solve would buy
-	// nothing but a GOMAXPROCS lock on every apply.
-	solvePar bool
+	// solvePar selects how single-vector triangular solves run: under
+	// the p2p schedules, or as the staged traversal inline on the
+	// caller. probeSolveSweep measures both at Factorize and keeps the
+	// faster; the two are bitwise identical, so the choice only changes
+	// time. sweepP2P and sweepInline are the probe's timings.
+	solvePar              bool
+	sweepP2P, sweepInline time.Duration
 
 	lower *lowerPlan
 
@@ -309,7 +317,6 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 			e.cornerStart[r-nUp] = k
 		}
 	}
-	e.solvePar = e.rt.ParallelWorth(e.solveOps)
 
 	e.buildSchedules()
 	if err := e.buildLowerPlan(); err != nil {
@@ -323,7 +330,73 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 		e.Close()
 		return nil, err
 	}
+	if opt.Threads > 1 {
+		e.probeSolveSweep()
+	}
 	return e, nil
+}
+
+// sweepProbeTrials is the number of timed applies per way whose
+// minimum probeSolveSweep compares.
+const sweepProbeTrials = 5
+
+// probeSolveSweep decides how single-vector solves run by timing real
+// applies both ways — p2p-scheduled and staged inline — and keeping
+// the faster. A region cost model cannot price per-block p2p waits or
+// waking a parked worker on a host where the caller and the workers
+// share the CPUs; a few applies measure both. Each way gets one
+// untimed warm-up, and the timed trials alternate so a host stall
+// hits both ways alike.
+func (e *Engine) probeSolveSweep() {
+	r := make([]float64, e.n)
+	for i := range r {
+		r[i] = 1
+	}
+	z := make([]float64, e.n)
+	timeApply := func(par bool) time.Duration {
+		e.solvePar = par
+		t0 := time.Now()
+		e.Apply(r, z)
+		return time.Since(t0)
+	}
+	timeApply(true)
+	timeApply(false)
+	e.sweepP2P, e.sweepInline = timeApply(true), timeApply(false)
+	for i := 1; i < sweepProbeTrials; i++ {
+		e.sweepP2P = min(e.sweepP2P, timeApply(true))
+		e.sweepInline = min(e.sweepInline, timeApply(false))
+	}
+	e.solvePar = e.sweepP2P < e.sweepInline
+}
+
+// SweepDecision is the measured choice for single-vector triangular
+// solves made at Factorize. Parallel reports whether they run under
+// the p2p schedules (otherwise the staged traversal runs inline on the
+// caller); P2P and Inline are the probe's best apply time each way. A
+// single-threaded engine solves serially and makes no probe: both
+// times are zero.
+type SweepDecision struct {
+	Parallel    bool
+	P2P, Inline time.Duration
+}
+
+// String renders the decision as, e.g., "p2p (p2p 605µs, inline 956µs)".
+func (d SweepDecision) String() string {
+	if d.P2P == 0 && d.Inline == 0 {
+		return "serial (no probe)"
+	}
+	way := "inline"
+	if d.Parallel {
+		way = "p2p"
+	}
+	return fmt.Sprintf("%s (p2p %v, inline %v)", way,
+		d.P2P.Round(time.Microsecond), d.Inline.Round(time.Microsecond))
+}
+
+// SolveSweep returns the single-vector solve decision and the probe
+// timings behind it.
+func (e *Engine) SolveSweep() SweepDecision {
+	return SweepDecision{Parallel: e.solvePar, P2P: e.sweepP2P, Inline: e.sweepInline}
 }
 
 // resolveMethod applies the paper's auto rule: ER needs more excluded
@@ -408,60 +481,85 @@ func (e *Engine) Close() {
 	})
 }
 
-// buildSchedules constructs the p2p plans. Forward dependencies of
-// row r are the sub-diagonal columns of the factor pattern (identical
-// for the ILU upper stage and the L triangular solve). Backward
-// dependencies (U solve) are the super-diagonal columns restricted to
-// upper rows, with levels recomputed on the reverse DAG.
+// buildSchedules constructs the p2p plans over the upper rows. The
+// forward plan (ILU upper stage + L solve) runs the split's levels in
+// order; a row's dependencies are its sub-diagonal columns. The
+// backward plan (U solve) runs the same levels in reverse, which is a
+// valid backward order whenever every U entry (r, c) of an upper row
+// has c in a strictly later forward level. The lower(A+Aᵀ) pattern
+// guarantees that by construction (the entry (c, r) of the symmetrized
+// pattern puts c after r); under lower(A) it is checked here, and on
+// failure the backward levels are recomputed on the reverse DAG and
+// the plan runs over positions of bwdRows.
 func (e *Engine) buildSchedules() {
 	lu := e.factor.LU
-	nUp := e.split.NUpper
-	// Forward levels: contiguous ranges straight from the split.
-	fwdLevels := make([][]int, e.split.CutLevel)
-	for l := 0; l < e.split.CutLevel; l++ {
-		lo, hi := e.split.UpperLvlPtr[l], e.split.UpperLvlPtr[l+1]
-		rows := make([]int, hi-lo)
-		for i := range rows {
-			rows[i] = lo + i
-		}
-		fwdLevels[l] = rows
-	}
-	e.schedL = p2p.NewSchedule(e.rt, fwdLevels, e.n, e.opt.Threads, func(r int, emit func(int)) {
-		cols, _ := lu.Row(r)
-		for _, c := range cols {
-			if c >= r {
-				break
+	dps := e.factor.DiagPos
+	nUp, cut := e.split.NUpper, e.split.CutLevel
+	ptr := e.split.UpperLvlPtr
+	fwd := make([]p2p.Range, cut)
+	bwd := make([]p2p.Range, cut)
+	reversible := true
+	for l := 0; l < cut; l++ {
+		fwd[l] = p2p.Range{Lo: ptr[l], Hi: ptr[l+1]}
+		bwd[cut-1-l] = fwd[l]
+		for r := ptr[l]; r < ptr[l+1]; r++ {
+			// Columns are sorted, so the first U entry is the nearest.
+			if k := dps[r] + 1; k < lu.RowPtr[r+1] && lu.ColIdx[k] < ptr[l+1] {
+				reversible = false
 			}
+		}
+	}
+	e.schedL = p2p.NewSchedule(e.rt, fwd, e.n, e.opt.Threads, func(r int, emit func(int)) {
+		for _, c := range lu.ColIdx[lu.RowPtr[r]:dps[r]] {
 			emit(c)
 		}
 	})
+	if reversible {
+		e.schedU = p2p.NewSchedule(e.rt, bwd, e.n, e.opt.Threads, func(r int, emit func(int)) {
+			for _, c := range lu.ColIdx[dps[r]+1 : lu.RowPtr[r+1]] {
+				emit(c)
+			}
+		})
+		return
+	}
 
 	// Backward levels over upper rows only.
 	lvlB := make([]int, nUp)
-	maxB := 0
+	nLv := 0
 	for r := nUp - 1; r >= 0; r-- {
 		l := 0
-		for k := e.factor.DiagPos[r] + 1; k < lu.RowPtr[r+1]; k++ {
-			c := lu.ColIdx[k]
+		for _, c := range lu.ColIdx[dps[r]+1 : lu.RowPtr[r+1]] {
 			if c < nUp && lvlB[c]+1 > l {
 				l = lvlB[c] + 1
 			}
 		}
 		lvlB[r] = l
-		if l > maxB {
-			maxB = l
-		}
+		nLv = max(nLv, l+1)
 	}
-	bwdLevels := make([][]int, maxB+1)
-	if nUp == 0 {
-		bwdLevels = nil
+	// Counting sort by level: positions [lvPtr[l], lvPtr[l+1]) of
+	// bwdRows hold level l's rows in ascending order.
+	lvPtr := make([]int, nLv+1)
+	for _, l := range lvlB {
+		lvPtr[l+1]++
 	}
-	for r := 0; r < nUp; r++ {
-		bwdLevels[lvlB[r]] = append(bwdLevels[lvlB[r]], r)
+	bwd = make([]p2p.Range, nLv)
+	for l := range bwd {
+		lvPtr[l+1] += lvPtr[l]
+		bwd[l] = p2p.Range{Lo: lvPtr[l], Hi: lvPtr[l+1]}
 	}
-	e.schedU = p2p.NewSchedule(e.rt, bwdLevels, e.n, e.opt.Threads, func(r int, emit func(int)) {
-		for k := e.factor.DiagPos[r] + 1; k < lu.RowPtr[r+1]; k++ {
-			emit(lu.ColIdx[k])
+	e.bwdRows = make([]int, nUp)
+	pos := make([]int, nUp)
+	for r, l := range lvlB {
+		pos[r] = lvPtr[l]
+		e.bwdRows[lvPtr[l]] = r
+		lvPtr[l]++
+	}
+	e.schedU = p2p.NewSchedule(e.rt, bwd, nUp, e.opt.Threads, func(p int, emit func(int)) {
+		r := e.bwdRows[p]
+		for _, c := range lu.ColIdx[dps[r]+1 : lu.RowPtr[r+1]] {
+			if c < nUp {
+				emit(pos[c])
+			}
 		}
 	})
 }

@@ -417,3 +417,110 @@ func TestMissingDiagonalRejected(t *testing.T) {
 		t.Fatal("expected missing-diagonal error")
 	}
 }
+
+// solveBothWays runs solve on b under the inline staged traversal and
+// under the block p2p schedules, restoring the engine's measured
+// decision afterwards.
+func solveBothWays(e *Engine, solve func(b, x []float64), b []float64) (inline, p2p []float64) {
+	defer func(par bool) { e.solvePar = par }(e.solvePar)
+	inline = make([]float64, len(b))
+	p2p = make([]float64, len(b))
+	e.solvePar = false
+	solve(b, inline)
+	e.solvePar = true
+	solve(b, p2p)
+	return inline, p2p
+}
+
+func firstBitDiff(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestBlockSweepsMatchInline(t *testing.T) {
+	// Under the default lower(A+Aᵀ) pattern the backward schedule is
+	// the forward levels reversed, so both sweeps run whole-block
+	// kernels; either way a solve must equal the inline staged path
+	// bit for bit.
+	for name, a := range testMatrices(t) {
+		for _, threads := range []int{2, 4} {
+			opt := DefaultOptions()
+			opt.Threads = threads
+			opt.Split.MinRowsPerLevel = 8
+			e, err := Factorize(a, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if e.bwdRows != nil {
+				t.Errorf("%s: reversed forward levels rejected under lower(A+Aᵀ)", name)
+			}
+			b := make([]float64, a.N)
+			rng := util.NewRNG(5)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			for _, s := range []struct {
+				name  string
+				solve func(b, x []float64)
+			}{{"SolveLower", e.SolveLower}, {"SolveUpper", e.SolveUpper}} {
+				in, pp := solveBothWays(e, s.solve, b)
+				if i := firstBitDiff(in, pp); i >= 0 {
+					t.Errorf("%s threads=%d %s: entry %d p2p %g vs inline %g", name, threads, s.name, i, pp[i], in[i])
+				}
+			}
+			e.Close()
+		}
+	}
+}
+
+func TestSolveUpperBackwardLevelFallback(t *testing.T) {
+	// An unsymmetric pattern leveled on lower(A) has U entries inside
+	// a forward level, so the backward schedule falls back to levels
+	// recomputed on the reverse DAG and walks their rows one by one.
+	// The result must still equal the inline staged path bit for bit.
+	a := gen.Circuit(gen.CircuitOptions{N: 700, AvgDeg: 4, NumHubs: 3, HubDeg: 40, UnsymFrac: 0.3, Locality: 50, Seed: 7})
+	for _, threads := range []int{2, 4} {
+		opt := DefaultOptions()
+		opt.Pattern = levelset.LowerA
+		opt.Lower = LowerER
+		opt.Threads = threads
+		opt.Split.MinRowsPerLevel = 8
+		e, err := Factorize(a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.bwdRows == nil {
+			t.Fatal("reversed forward levels accepted; the test matrix no longer exercises the fallback")
+		}
+		b := make([]float64, a.N)
+		rng := util.NewRNG(9)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		in, pp := solveBothWays(e, e.SolveUpper, b)
+		if i := firstBitDiff(in, pp); i >= 0 {
+			t.Errorf("threads=%d: entry %d p2p %g vs inline %g", threads, i, pp[i], in[i])
+		}
+		// A wide batch takes the parallel branch of the batched sweep
+		// too, which walks the same fallback rows per block.
+		const k = 16
+		B := make([][]float64, k)
+		X := make([][]float64, k)
+		for j := range B {
+			B[j], X[j] = b, make([]float64, a.N)
+		}
+		e.defCtx.SolveUpperBatch(B, X)
+		for j := range X {
+			for i := range X[j] {
+				if math.Abs(X[j][i]-in[i]) > 1e-12*(1+math.Abs(in[i])) {
+					t.Fatalf("threads=%d batch RHS %d entry %d: got %g want %g", threads, j, i, X[j][i], in[i])
+				}
+			}
+		}
+		e.Close()
+	}
+}

@@ -128,8 +128,9 @@ func (e *Engine) scatter(a *sparse.CSR, vals []float64) error {
 }
 
 // factorUpper runs the upper stage: up-looking elimination of rows
-// [0, NUpper) driven by the p2p schedule. Each row is fully
-// eliminated (its dependencies are all upper rows) and finished.
+// [0, NUpper) driven by the p2p schedule, one (worker, level) block of
+// rows per body call. Each row is fully eliminated (its dependencies
+// are all upper rows) and finished.
 func (e *Engine) factorUpper(vals []float64) error {
 	var firstErr atomic.Value
 	rowBody := func(r int) {
@@ -148,7 +149,11 @@ func (e *Engine) factorUpper(vals []float64) error {
 	// exactly the finished dependencies the p2p sweep would have given
 	// it and the factor values are bitwise identical.
 	if e.rt.ParallelWorth(e.upperOps) {
-		e.schedL.Run(rowBody)
+		e.schedL.Run(func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				rowBody(r)
+			}
+		})
 	} else {
 		for r := 0; r < e.split.NUpper; r++ {
 			rowBody(r)

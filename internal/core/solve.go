@@ -27,16 +27,18 @@ func (e *Engine) ApplyBatch(R, Z [][]float64) { e.defCtx.ApplyBatch(R, Z) }
 // b and x may alias.
 //
 // Structure (paper Section VI): upper-stage rows run under the same
-// p2p schedule as factorization; lower-stage rows then perform an
-// spmv-like tiled sweep against the already-computed upper x, and the
-// corner is solved group-parallel.
+// p2p schedule as factorization, one whole-block TriLower kernel per
+// (worker, level) block; lower-stage rows then perform an spmv-like
+// tiled sweep against the already-computed upper x, and the corner is
+// solved group-parallel.
 //
-// The adaptive cutoff may execute the whole staged traversal inline
-// when the factor is too small to repay parallel dispatch. Row
-// updates are independent within each stage, so inline and parallel
-// execution are bitwise identical; the cutoff never reroutes to the
-// Threads==1 path, whose lower-stage float association differs in
-// low bits.
+// Whether that parallel traversal or the same stages inline on the
+// caller run is decided once at Factorize by timing real applies both
+// ways (see Engine.SolveSweep). Rows within a level or stage are
+// independent and every row runs the same kernel in the same order,
+// so inline and parallel execution are bitwise identical; the
+// decision never reroutes to the Threads==1 path, whose lower-stage
+// float association differs in low bits.
 //
 // On an unpinned context each call pins the current epoch for its
 // own duration only; when pairing SolveLower with SolveUpper under
@@ -70,9 +72,8 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 	nUp, n := e.split.NUpper, e.n
 	if par {
 		//javelin:alloc-ok parallel dispatch handoff; the inline path allocates nothing
-		c.runL.Execute(func(r int) {
-			lo, dp := lu.RowPtr[r], e.factor.DiagPos[r]
-			x[r] = kt.SubGather(x[r], vals[lo:dp], lu.ColIdx[lo:dp], x)
+		c.runL.Execute(func(lo, hi int) {
+			kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, vals, x, lo, hi)
 		})
 	} else {
 		kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, vals, x, 0, nUp)
@@ -150,8 +151,11 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 // SolveUpper solves U·x = b on the permuted indexing (b, x length N,
 // may alias). The traversal order mirrors SolveLower reversed: the
 // corner is solved first (groups descending), then the upper-stage
-// rows under the backward p2p schedule — or, below the adaptive
-// cutoff, the same stages inline (bitwise identical; see SolveLower).
+// rows under the backward p2p schedule — the forward levels in
+// reverse, one whole-block TriUpper kernel per block, or, when the
+// pattern rules that order out, recomputed backward levels walked row
+// by row — or, when the measured decision chose it, the same stages
+// inline (bitwise identical; see SolveLower).
 // See SolveLower's note on PinEpoch when pairing the two under
 // concurrent Refactorize.
 //
@@ -184,7 +188,16 @@ func (c *SolveContext) SolveUpper(b, x []float64) {
 			hi := nUp + e.split.LowerLvlPtr[g+1]
 			e.parallelRows(lo, hi, rowBody)
 		}
-		c.runU.Execute(rowBody)
+		//javelin:alloc-ok parallel dispatch handoff
+		c.runU.Execute(func(lo, hi int) {
+			if rows := e.bwdRows; rows != nil {
+				for _, r := range rows[lo:hi] {
+					kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, vals, x, r, r+1)
+				}
+				return
+			}
+			kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, vals, x, lo, hi)
+		})
 		return
 	}
 	// Inline: rows within a corner group are independent and the

@@ -82,15 +82,13 @@ func (r *Runtime) calibrateOverhead() {
 		r.overhead.ns = cutoffOverheadFloorNs
 		return
 	}
-	var sink int
 	for t := 0; t < cutoffCalibrationTrials; t++ {
 		t0 := time.Now()
-		r.For(n, 0, func(i int) { sink += i })
+		r.For(n, 0, func(int) {})
 		if d := float64(time.Since(t0)); d < best {
 			best = d
 		}
 	}
-	_ = sink
 	if best < cutoffOverheadFloorNs {
 		best = cutoffOverheadFloorNs
 	}

@@ -2,20 +2,30 @@
 // Park et al. that Javelin uses in place of per-level barriers
 // (paper Section III-A, Fig. 4).
 //
-// Rows of each level are dealt round-robin to worker threads. Because
-// a worker processes its rows in ascending (level, deal) order, the
-// assignment induces an implied total order per worker: when worker t
-// has published progress counter c, every row dealt to t with deal
-// index < c is complete. The full dependency set of a row is therefore
-// pruned to at most one wait per producing worker — the maximum deal
-// index among its dependencies on that worker — and waits become cheap
-// spins on per-worker atomic counters, letting fast threads run ahead
-// of slow ones instead of stalling at a barrier.
+// Each level is a contiguous index range, dealt to the workers as
+// contiguous blocks: worker w gets the w-th of Workers near-equal
+// slices of the level, so adjacent rows (which share cache lines of
+// the solution and factor arrays) stay on one worker. A block — one
+// worker's rows within one level — is the unit of execution and of
+// synchronization. Because a worker runs its blocks in level order,
+// the assignment induces an implied total order per worker: when
+// worker t has published progress counter c, its first c blocks are
+// complete. The dependencies of every row in a block are therefore
+// pruned, at build time, to at most one wait per producing worker —
+// the highest-numbered block on that worker holding any of them —
+// and a worker waits once at the start of a block, hands the body the
+// whole index range, and publishes its counter once at the end. The
+// waits are short spins on per-worker atomic counters (parking only
+// when a producer is not running), letting fast workers run ahead of
+// slow ones instead of stalling at a barrier, and the per-row cost is
+// just the body's own work.
 package p2p
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"javelin/internal/exec"
 )
@@ -29,12 +39,30 @@ type paddedCounter struct {
 	_ [cacheLinePad - 8]byte
 }
 
-// DepFunc enumerates the dependency rows of a row by calling emit for
-// each. Dependencies outside the scheduled row set are ignored.
-type DepFunc func(row int, emit func(dep int))
+// Range is the half-open index range [Lo, Hi).
+type Range struct{ Lo, Hi int }
 
-// Schedule is a p2p execution plan: an assignment of rows to workers
-// and pruned dependency lists. The plan itself is immutable after
+// DepFunc enumerates the dependency indices of index i by calling
+// emit for each. Dependencies outside the scheduled levels are
+// ignored.
+type DepFunc func(i int, emit func(dep int))
+
+// block is one worker's contiguous slice of one level together with
+// its pruned waits: deps[dLo:dHi] of the worker's dependency list.
+type block struct {
+	lo, hi   int
+	dLo, dHi int32
+}
+
+// dep is one pruned wait: worker w must have published at least need
+// completed blocks.
+type dep struct {
+	w    int32
+	need int32
+}
+
+// Schedule is a p2p execution plan: per worker, its blocks in
+// execution order and their pruned waits. The plan is immutable after
 // NewSchedule; all per-execution state (the per-worker progress
 // counters) lives in Run objects, so any number of concurrent
 // executions can share one plan — build once per (pattern, workers),
@@ -44,20 +72,13 @@ type Schedule struct {
 	Workers int
 	// rt executes the sweeps: each Execute is one gang of Workers
 	// pieces on the persistent runtime (no per-call goroutines).
-	rt *exec.Runtime
-	// RowOf[w] lists the rows of worker w in execution order
-	// (level-major, round-robin dealt within each level).
-	RowOf [][]int
-
-	ownerOf []int32 // -1 when the row is not scheduled
-	seqOf   []int32
-
-	// Pruned dependencies, flattened per worker: for worker w's k-th
-	// row, entries depPtr[w][k] .. depPtr[w][k+1] are indices into
-	// depW/depS giving (producer worker, required sequence).
-	depPtr [][]int32
-	depW   [][]int32
-	depS   [][]int32
+	rt     *exec.Runtime
+	blocks [][]block
+	deps   [][]dep
+	// yield is set when the gang is wider than GOMAXPROCS at build
+	// time: some pieces cannot be running, so a spinning waiter gives
+	// its CPU to one that can instead of burning the spin budget.
+	yield bool
 
 	// defaultRun backs the Schedule.Run convenience method; concurrent
 	// executions must use separate NewRun objects instead.
@@ -65,29 +86,49 @@ type Schedule struct {
 }
 
 // Run holds the mutable state of one Schedule execution: the
-// per-worker published progress counters. A Run may be reused for any
-// number of sequential executions; distinct Runs over the same
-// Schedule may execute concurrently (each goroutine needs its own).
+// per-worker published progress counters, and the parking spot for
+// waits that outlast spinBudget. A Run may be reused for any number
+// of sequential executions; distinct Runs over the same Schedule may
+// execute concurrently (each goroutine needs its own).
 type Run struct {
 	s        *Schedule
 	progress []paddedCounter
+
+	// parked counts workers blocked (or about to block) on wake; a
+	// publisher that sees it nonzero broadcasts under mu.
+	parked atomic.Int32
+	mu     sync.Mutex
+	wake   *sync.Cond
 }
+
+// spinBudget is how long a wait spins before it parks. Spinning keeps
+// the common wait — a producer a block or so behind, or a gang piece
+// still waking from a parked runtime worker — at cache-line latency;
+// the budget is a few times that wake-up, so normal skew never parks.
+// Parking bounds the cost when the producer is not running at all:
+// when the host's CPUs are oversubscribed, a yield would requeue the
+// waiter behind every runnable goroutine, while a parked waiter is
+// woken directly by the publish it needs. (A gang wider than
+// GOMAXPROCS yields while it spins as well; see Schedule.yield.)
+const spinBudget = 300 * time.Microsecond
 
 // NewRun creates an independent execution state for the schedule.
 func (s *Schedule) NewRun() *Run {
-	return &Run{s: s, progress: make([]paddedCounter, s.Workers)}
+	r := &Run{s: s, progress: make([]paddedCounter, s.Workers)}
+	r.wake = sync.NewCond(&r.mu)
+	return r
 }
 
-// NewSchedule builds a plan for rows grouped into levels (levels[l] is
-// the slice of row ids in level l; rows within a level must be
-// mutually independent). n is the total row-id space (ids < n). deps
-// enumerates each row's dependency rows; dependencies on rows not
-// present in levels are ignored (the caller guarantees they complete
-// before Run starts — e.g. upper-stage rows during a lower-stage run).
-// rt is the execution runtime the sweeps run on (nil means the
-// process-wide default); size it to at least workers lanes or every
-// sweep falls back to spawning goroutines.
-func NewSchedule(rt *exec.Runtime, levels [][]int, n, workers int, deps DepFunc) *Schedule {
+// NewSchedule builds a plan over the index space [0, n) for levels
+// given in execution order; the indices of one level must be mutually
+// independent, and the levels must be disjoint. deps enumerates each
+// index's dependencies; those outside every level are ignored (the
+// caller guarantees they complete before Run starts — e.g. corner
+// rows during the backward sweep). rt is the execution runtime the
+// sweeps run on (nil means the process-wide default); size it to at
+// least workers lanes or every sweep falls back to spawning
+// goroutines.
+func NewSchedule(rt *exec.Runtime, levels []Range, n, workers int, deps DepFunc) *Schedule {
 	if workers < 1 {
 		workers = 1
 	}
@@ -97,105 +138,102 @@ func NewSchedule(rt *exec.Runtime, levels [][]int, n, workers int, deps DepFunc)
 	s := &Schedule{
 		Workers: workers,
 		rt:      rt,
-		RowOf:   make([][]int, workers),
-		ownerOf: make([]int32, n),
-		seqOf:   make([]int32, n),
-		depPtr:  make([][]int32, workers),
-		depW:    make([][]int32, workers),
-		depS:    make([][]int32, workers),
+		blocks:  make([][]block, workers),
+		deps:    make([][]dep, workers),
+		yield:   workers > runtime.GOMAXPROCS(0),
 	}
-	for i := range s.ownerOf {
-		s.ownerOf[i] = -1
+	// Deal each level in contiguous slices and record, per scheduled
+	// index, its owner and the owner's block number.
+	owner := make([]int32, n)
+	seq := make([]int32, n)
+	for i := range owner {
+		owner[i] = -1
 	}
-	// Deal each level's rows to workers in contiguous blocks: adjacent
-	// rows share cache lines of the solution/factor arrays, so blocked
-	// dealing avoids the false sharing a round-robin deal would cause,
-	// while still inducing the per-worker implied order the pruning
-	// relies on.
-	for _, rows := range levels {
-		nr := len(rows)
-		chunk := (nr + workers - 1) / workers
-		if chunk < 1 {
-			chunk = 1
-		}
-		for k, r := range rows {
-			w := k / chunk
-			if w >= workers {
-				w = workers - 1
+	for _, lv := range levels {
+		chunk := (lv.Hi - lv.Lo + workers - 1) / workers
+		for w := 0; w < workers; w++ {
+			lo := lv.Lo + w*chunk
+			hi := min(lo+chunk, lv.Hi)
+			if lo >= hi {
+				break
 			}
-			s.ownerOf[r] = int32(w)
-			s.seqOf[r] = int32(len(s.RowOf[w]))
-			s.RowOf[w] = append(s.RowOf[w], r)
+			b := int32(len(s.blocks[w]))
+			for i := lo; i < hi; i++ {
+				owner[i], seq[i] = int32(w), b
+			}
+			s.blocks[w] = append(s.blocks[w], block{lo: lo, hi: hi})
 		}
 	}
-	// Prune: per row, keep only the max sequence per producing worker;
-	// drop same-worker dependencies (implied by program order).
+	// Prune: per block, keep only the highest producing block per other
+	// worker; same-worker dependencies are implied by program order.
 	maxSeq := make([]int32, workers)
-	for w := 0; w < workers; w++ {
-		s.depPtr[w] = make([]int32, len(s.RowOf[w])+1)
-		for k, r := range s.RowOf[w] {
+	emit := func(d int) {
+		if d < 0 || d >= n {
+			return
+		}
+		if ow := owner[d]; ow >= 0 && seq[d] > maxSeq[ow] {
+			maxSeq[ow] = seq[d]
+		}
+	}
+	for w, blocks := range s.blocks {
+		for bi := range blocks {
+			b := &blocks[bi]
 			for i := range maxSeq {
 				maxSeq[i] = -1
 			}
-			deps(r, func(dep int) {
-				if dep < 0 || dep >= n {
-					return
-				}
-				ow := s.ownerOf[dep]
-				if ow < 0 {
-					return
-				}
-				if os := s.seqOf[dep]; os > maxSeq[ow] {
-					maxSeq[ow] = os
-				}
-			})
-			for ow := 0; ow < workers; ow++ {
-				if ms := maxSeq[ow]; ms >= 0 && ow != w {
-					s.depW[w] = append(s.depW[w], int32(ow))
-					s.depS[w] = append(s.depS[w], ms)
+			for i := b.lo; i < b.hi; i++ {
+				deps(i, emit)
+			}
+			b.dLo = int32(len(s.deps[w]))
+			for ow, ms := range maxSeq {
+				if ms >= 0 && ow != w {
+					s.deps[w] = append(s.deps[w], dep{w: int32(ow), need: ms + 1})
 				}
 			}
-			s.depPtr[w][k+1] = int32(len(s.depW[w]))
+			b.dHi = int32(len(s.deps[w]))
 		}
 	}
 	s.defaultRun = s.NewRun()
 	return s
 }
 
-// NumDeps returns the total pruned dependency count (diagnostics).
+// NumDeps returns the total number of pruned block waits
+// (diagnostics).
 func (s *Schedule) NumDeps() int {
 	n := 0
-	for w := 0; w < s.Workers; w++ {
-		n += len(s.depW[w])
+	for _, d := range s.deps {
+		n += len(d)
 	}
 	return n
 }
 
-// NumRows returns the number of scheduled rows.
+// NumRows returns the number of scheduled indices.
 func (s *Schedule) NumRows() int {
 	n := 0
-	for w := 0; w < s.Workers; w++ {
-		n += len(s.RowOf[w])
+	for _, blocks := range s.blocks {
+		for _, b := range blocks {
+			n += b.hi - b.lo
+		}
 	}
 	return n
 }
 
-// Run executes body(row) for every scheduled row on the schedule's
-// built-in default Run. It is the convenience path for single-caller
-// use; for concurrent executions over one schedule, give each caller
-// its own NewRun and call Execute on it.
-func (s *Schedule) Run(body func(row int)) {
+// Run executes body over every block on the schedule's built-in
+// default Run. It is the convenience path for single-caller use; for
+// concurrent executions over one schedule, give each caller its own
+// NewRun and call Execute on it.
+func (s *Schedule) Run(body func(lo, hi int)) {
 	s.defaultRun.Execute(body)
 }
 
-// Execute runs body(row) for every scheduled row as one gang of
-// Workers pieces on the schedule's runtime, honoring all dependencies
-// via p2p spin waits. The gang guarantee (all pieces running at once)
-// is what makes the spin waits safe; concurrent Executes over a
-// shared runtime are admission-controlled, not deadlocked. body must
-// complete the row before returning. A Run must not be executed
-// concurrently with itself.
-func (r *Run) Execute(body func(row int)) {
+// Execute calls body(lo, hi) for every block as one gang of Workers
+// pieces on the schedule's runtime, honoring all dependencies via p2p
+// waits taken before each block. The gang guarantee (all pieces
+// running at once) is what makes the waits safe; concurrent
+// Executes over a shared runtime are admission-controlled, not
+// deadlocked. body must complete every index of [lo, hi) before
+// returning. A Run must not be executed concurrently with itself.
+func (r *Run) Execute(body func(lo, hi int)) {
 	for i := range r.progress {
 		r.progress[i].v.Store(0)
 	}
@@ -209,27 +247,48 @@ func (r *Run) Execute(body func(row int)) {
 	})
 }
 
-func (r *Run) runWorker(w int, body func(row int)) {
-	s := r.s
-	rows := s.RowOf[w]
-	depPtr, depW, depS := s.depPtr[w], s.depW[w], s.depS[w]
-	for k, row := range rows {
-		for d := depPtr[k]; d < depPtr[k+1]; d++ {
-			ow, need := depW[d], int64(depS[d])+1
-			// Two-phase wait: a short tight spin catches the common
-			// case (producer a few rows ahead) with minimal latency;
-			// afterwards, periodic yields keep waiters from hammering
-			// the producer's cache line and from starving runnable
-			// goroutines when workers exceed cores.
-			spins := 0
-			for r.progress[ow].v.Load() < need {
-				spins++
-				if spins > 512 && spins&63 == 0 {
-					runtime.Gosched()
-				}
+func (r *Run) runWorker(w int, body func(lo, hi int)) {
+	deps := r.s.deps[w]
+	mine := &r.progress[w].v
+	for bi, b := range r.s.blocks[w] {
+		for _, d := range deps[b.dLo:b.dHi] {
+			if c := &r.progress[d.w].v; c.Load() < int64(d.need) {
+				r.wait(c, int64(d.need))
 			}
 		}
-		body(row)
-		r.progress[w].v.Store(int64(k + 1))
+		body(b.lo, b.hi)
+		mine.Store(int64(bi + 1))
+		if r.parked.Load() > 0 {
+			r.mu.Lock()
+			r.wake.Broadcast()
+			r.mu.Unlock()
+		}
+	}
+}
+
+// wait blocks until *c reaches need: a spin of up to spinBudget
+// (yielding between checks when the gang is oversubscribed), then
+// parked on wake. A publisher stores its counter before it reads
+// parked, and a waiter counts itself in parked before its locked
+// re-check, so a publish is never missed.
+func (r *Run) wait(c *atomic.Int64, need int64) {
+	t0 := time.Now()
+	for spins := 1; c.Load() < need; spins++ {
+		if spins&63 != 0 {
+			continue
+		}
+		if time.Since(t0) > spinBudget {
+			r.parked.Add(1)
+			r.mu.Lock()
+			for c.Load() < need {
+				r.wake.Wait()
+			}
+			r.mu.Unlock()
+			r.parked.Add(-1)
+			return
+		}
+		if r.s.yield && spins > 512 {
+			runtime.Gosched()
+		}
 	}
 }

@@ -209,10 +209,13 @@ func WithAutoRefactorize(p DriftPolicy) SolverOption {
 // of one system shape: A (and optionally a Preconditioner) bound at
 // construction, then Solve called any number of times — from any
 // number of goroutines simultaneously — with per-call right-hand
-// sides. Each call draws its preconditioner-application context and
-// Krylov workspace from internal pools, so warm solves allocate
-// nothing and N concurrent callers cost N× scratch only while they
-// are actually solving.
+// sides. Each call draws its preconditioner-application context from
+// the engine's pool and its Krylov workspace from the Solver's own
+// free list, so warm solves allocate nothing. The free list keeps one
+// workspace per Solve the Solver has run at once (for GMRES, Restart+1
+// basis vectors each) until the Solver itself is dropped: a collection
+// never empties it, so neither a solve's latency nor the Solver's
+// footprint depends on when the garbage collector last ran.
 //
 // This is the supported entry point for serving solve traffic; the
 // free SolveCG/SolveGMRES/SolveBiCGSTAB functions (and their *With
@@ -235,10 +238,13 @@ type Solver struct {
 	// WithAutoRefactorize).
 	drift *driftController
 
-	// wsPool recycles Krylov workspaces across Solve calls; the
+	// wsFree holds the idle Krylov workspaces Solve calls reuse, at
+	// most one per Solve this Solver has run at once. Unlike a
+	// sync.Pool it is not emptied by garbage collections. The
 	// preconditioner contexts are pooled by the engine itself
 	// (core.Engine.AcquireContext).
-	wsPool sync.Pool
+	wsMu   sync.Mutex
+	wsFree []*SolverWorkspace
 }
 
 // NewSolver builds a solve session over m, preconditioned by p (nil
@@ -360,12 +366,35 @@ func (s *Solver) Method() Method { return s.method }
 //
 //javelin:noalloc
 func (s *Solver) Solve(ctx context.Context, b, x []float64) (SolverStats, error) {
-	ws, _ := s.wsPool.Get().(*SolverWorkspace)
-	if ws == nil {
-		ws = krylov.NewWorkspace()
-	}
-	defer s.wsPool.Put(ws)
+	ws := s.takeWorkspace()
+	defer s.putWorkspace(ws)
 	return s.solvePooledPC(ctx, ws, b, x)
+}
+
+// takeWorkspace checks an idle workspace out of the free list, or
+// makes a new one when every workspace is in use.
+//
+//javelin:alloc-ok free-list warm-up: allocates only until the list holds one workspace per concurrent solve
+func (s *Solver) takeWorkspace() *SolverWorkspace {
+	s.wsMu.Lock()
+	defer s.wsMu.Unlock()
+	n := len(s.wsFree)
+	if n == 0 {
+		return krylov.NewWorkspace()
+	}
+	ws := s.wsFree[n-1]
+	s.wsFree[n-1] = nil
+	s.wsFree = s.wsFree[:n-1]
+	return ws
+}
+
+// putWorkspace returns a workspace taken by takeWorkspace.
+//
+//javelin:alloc-ok free-list warm-up: the list grows only until it holds one workspace per concurrent solve
+func (s *Solver) putWorkspace(ws *SolverWorkspace) {
+	s.wsMu.Lock()
+	defer s.wsMu.Unlock()
+	s.wsFree = append(s.wsFree, ws)
 }
 
 // solvePooledPC runs a solve with the given workspace and a

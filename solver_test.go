@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -223,6 +224,41 @@ func TestSolverConcurrentHammer(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+	// Every workspace went back to the free list, and the list holds no
+	// more than one per concurrent solve.
+	if k := len(s.wsFree); k < 1 || k > workers {
+		t.Errorf("free list holds %d workspaces after %d concurrent callers", k, workers)
+	}
+}
+
+// TestSolverWorkspacesSurviveCollections checks that a Solver reuses
+// its Krylov workspace across garbage collections: a solve after two
+// collections runs on the workspace the previous solve used (a
+// sync.Pool would have dropped it and the solve would allocate a new
+// one).
+func TestSolverWorkspacesSurviveCollections(t *testing.T) {
+	m, p, b, _ := solverProblem(t, 16)
+	s, err := NewSolver(m, p, WithMethod(MethodGMRES), WithTol(1e-8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, m.N())
+	if _, err := s.Solve(context.Background(), b, x); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.wsFree) != 1 {
+		t.Fatalf("free list holds %d workspaces after one solve, want 1", len(s.wsFree))
+	}
+	ws := s.wsFree[0]
+	runtime.GC()
+	runtime.GC()
+	clear(x)
+	if _, err := s.Solve(context.Background(), b, x); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.wsFree) != 1 || s.wsFree[0] != ws {
+		t.Errorf("solve after two collections did not reuse the workspace (free list %d long)", len(s.wsFree))
 	}
 }
 
