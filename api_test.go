@@ -2,6 +2,7 @@ package javelin
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -31,6 +32,22 @@ func TestBuilderAndMatrixBasics(t *testing.T) {
 	}
 }
 
+// solveOnce builds a Solver over (m, p) with opts and runs one solve,
+// failing the test on construction or solve errors (non-convergence
+// included).
+func solveOnce(t *testing.T, m *Matrix, p *Preconditioner, b, x []float64, opts ...SolverOption) SolverStats {
+	t.Helper()
+	s, err := NewSolver(m, p, opts...)
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	st, err := s.Solve(context.Background(), b, x)
+	if err != nil {
+		t.Fatalf("%v solve: %v", s.Method(), err)
+	}
+	return st
+}
+
 func TestFactorizeAndSolveCGEndToEnd(t *testing.T) {
 	m := GridLaplacian(30, 30, 1, Star5, 0.1)
 	p, err := Factorize(m, DefaultOptions())
@@ -46,13 +63,7 @@ func TestFactorizeAndSolveCGEndToEnd(t *testing.T) {
 	b := make([]float64, n)
 	m.MatVec(xTrue, b)
 	x := make([]float64, n)
-	st, err := SolveCG(m, p, b, x, SolverOptions{Tol: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatalf("no convergence: %+v", st)
-	}
+	solveOnce(t, m, p, b, x, WithMethod(MethodCG), WithTol(1e-9))
 	for i := range x {
 		if math.Abs(x[i]-xTrue[i]) > 1e-5 {
 			t.Fatalf("x[%d]=%g want %g", i, x[i], xTrue[i])
@@ -74,13 +85,7 @@ func TestSolveGMRESOnCircuit(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, n)
-	st, err := SolveGMRES(m, p, b, x, SolverOptions{Tol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatalf("GMRES did not converge: %+v", st)
-	}
+	solveOnce(t, m, p, b, x, WithMethod(MethodGMRES), WithTol(1e-8))
 }
 
 func TestSolveWithoutPreconditioner(t *testing.T) {
@@ -91,12 +96,9 @@ func TestSolveWithoutPreconditioner(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, n)
-	st, err := SolveCG(m, nil, b, x, SolverOptions{Tol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatal("plain CG should converge on a dominant Laplacian")
+	st := solveOnce(t, m, nil, b, x, WithMethod(MethodCG), WithTol(1e-8))
+	if st.FactorEpoch != 0 {
+		t.Fatalf("unpreconditioned solve reported factor epoch %d", st.FactorEpoch)
 	}
 }
 
@@ -212,33 +214,43 @@ func TestApplierConcurrentSolvesShareOnePreconditioner(t *testing.T) {
 	}
 	defer p.Close()
 	n := m.N()
-	// Reference solution through the convenience path.
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1 + float64(i%7)
 	}
-	want := make([]float64, n)
-	if st, err := SolveCG(m, p, b, want, SolverOptions{Tol: 1e-10}); err != nil || !st.Converged {
-		t.Fatalf("reference solve: %v %+v", err, st)
+	// Serial references: one application and one solve.
+	wantZ := make([]float64, n)
+	p.Apply(b, wantZ)
+	s, err := NewSolver(m, p, WithMethod(MethodCG), WithTol(1e-10))
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
 	}
+	want := make([]float64, n)
+	if _, err := s.Solve(context.Background(), b, want); err != nil {
+		t.Fatalf("reference solve: %v", err)
+	}
+	// Each worker owns an Applier and shares the Solver: applications
+	// and solves run concurrently on the one preconditioner.
 	const workers = 4
 	done := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			ap := p.NewApplier()
-			ws := NewSolverWorkspace()
+			z := make([]float64, n)
 			x := make([]float64, n)
 			for rep := 0; rep < 3; rep++ {
+				ap.Apply(b, z)
+				for i := range z {
+					if z[i] != wantZ[i] {
+						done <- errDiverged
+						return
+					}
+				}
 				for i := range x {
 					x[i] = 0
 				}
-				st, err := SolveCGWith(m, ap, b, x, SolverOptions{Tol: 1e-10, Work: ws})
-				if err != nil {
+				if _, err := s.Solve(context.Background(), b, x); err != nil {
 					done <- err
-					return
-				}
-				if !st.Converged {
-					done <- errNotConverged
 					return
 				}
 				for i := range x {
@@ -319,43 +331,20 @@ func TestSolveBiCGSTABEndToEnd(t *testing.T) {
 	b := make([]float64, n)
 	m.MatVec(xTrue, b)
 	x := make([]float64, n)
-	st, err := SolveBiCGSTAB(m, p, b, x, SolverOptions{Tol: 1e-10})
-	if err != nil {
-		t.Fatalf("SolveBiCGSTAB: %v", err)
-	}
-	if !st.Converged {
-		t.Fatalf("not converged: %+v", st)
-	}
+	solveOnce(t, m, p, b, x, WithMethod(MethodBiCGSTAB), WithTol(1e-10))
 	for i := range x {
 		if math.Abs(x[i]-xTrue[i]) > 1e-6*(1+math.Abs(xTrue[i])) {
 			t.Fatalf("solution off at %d: %g vs %g", i, x[i], xTrue[i])
 		}
 	}
-	// The applier-preconditioned and unpreconditioned variants must
-	// converge to the same solution.
-	for _, tc := range []struct {
-		name string
-		ap   *Applier
-		tol  float64
-	}{
-		{"applier", p.NewApplier(), 1e-6},
-		{"unpreconditioned", nil, 1e-4},
-	} {
-		for i := range x {
-			x[i] = 0
-		}
-		st, err := SolveBiCGSTABWith(m, tc.ap, b, x, SolverOptions{Tol: 1e-10})
-		if err != nil {
-			t.Fatalf("SolveBiCGSTABWith(%s): %v", tc.name, err)
-		}
-		if !st.Converged {
-			t.Fatalf("SolveBiCGSTABWith(%s) not converged: %+v", tc.name, st)
-		}
-		for i := range x {
-			if math.Abs(x[i]-xTrue[i]) > tc.tol*(1+math.Abs(xTrue[i])) {
-				t.Fatalf("SolveBiCGSTABWith(%s) solution off at %d: %g vs %g",
-					tc.name, i, x[i], xTrue[i])
-			}
+	// The unpreconditioned solve must converge to the same solution.
+	for i := range x {
+		x[i] = 0
+	}
+	solveOnce(t, m, nil, b, x, WithMethod(MethodBiCGSTAB), WithTol(1e-10))
+	for i := range x {
+		if math.Abs(x[i]-xTrue[i]) > 1e-4*(1+math.Abs(xTrue[i])) {
+			t.Fatalf("unpreconditioned solution off at %d: %g vs %g", i, x[i], xTrue[i])
 		}
 	}
 }
@@ -363,12 +352,12 @@ func TestSolveBiCGSTABEndToEnd(t *testing.T) {
 // sentinel errors for goroutine reporting in concurrency tests.
 var (
 	errNotConverged = errors.New("solve did not converge")
-	errDiverged     = errors.New("concurrent solution diverged from reference")
+	errDiverged     = errors.New("concurrent result diverged from reference")
 )
 
-// TestSharedRuntimeAPI drives the tentpole surface: one NewRuntime
-// backs two Preconditioners and their concurrent Appliers, and no hot
-// path spawns goroutines per call once the runtime is warm.
+// TestSharedRuntimeAPI: one NewRuntime backs two Preconditioners,
+// their concurrent Appliers, and Solvers whose own matvecs and
+// reductions run on it.
 func TestSharedRuntimeAPI(t *testing.T) {
 	rt := NewRuntime(4)
 	defer rt.Close()
@@ -389,19 +378,22 @@ func TestSharedRuntimeAPI(t *testing.T) {
 	defer p2.Close()
 
 	solve := func(m *Matrix, p *Preconditioner) {
-		ap := p.NewApplier()
 		b := make([]float64, m.N())
 		x := make([]float64, m.N())
 		for i := range b {
 			b[i] = 1
 		}
-		st, err := SolveCGWith(m, ap, b, x, SolverOptions{Tol: 1e-8, Threads: 4, Runtime: rt})
+		p.NewApplier().Apply(b, x)
+		for i := range x {
+			x[i] = 0
+		}
+		s, err := NewSolver(m, p, WithMethod(MethodCG), WithTol(1e-8), WithThreads(4), WithRuntime(rt))
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if !st.Converged {
-			t.Errorf("CG did not converge: relres=%g", st.RelResidual)
+		if _, err := s.Solve(context.Background(), b, x); err != nil {
+			t.Error(err)
 		}
 	}
 	done := make(chan struct{}, 4)
@@ -487,9 +479,7 @@ func TestRuntimeStatsAPI(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	if _, err := SolveCG(m, p, b, x, SolverOptions{Tol: 1e-8, Threads: 4, Runtime: rt}); err != nil {
-		t.Fatal(err)
-	}
+	solveOnce(t, m, p, b, x, WithMethod(MethodCG), WithTol(1e-8), WithThreads(4), WithRuntime(rt))
 	rt.For(1024, 0, func(int) {})
 	delta := p.RuntimeStats().Sub(before)
 	if delta.Regions == 0 && delta.Gangs == 0 {

@@ -28,7 +28,7 @@
 //	x := make([]float64, m.N())
 //	stats, err := s.Solve(ctx, b, x)
 //
-// # Solver sessions & migration
+// # Solver sessions
 //
 // A Solver is the single entry point for iterative solves: built once
 // from a Matrix and an optional Preconditioner, it is safe for any
@@ -54,19 +54,6 @@
 //			}
 //		}()
 //	}
-//
-// The free solve functions predate Solver and remain as deprecated
-// compatibility wrappers (same trajectories, old nil-error
-// non-convergence contract). Migration map:
-//
-//	SolveCG(m, p, b, x, opt)        → NewSolver(m, p, WithMethod(MethodCG), ...).Solve(ctx, b, x)
-//	SolveGMRES(m, p, b, x, opt)     → NewSolver(m, p, WithMethod(MethodGMRES), WithRestart(k), ...)
-//	SolveBiCGSTAB(m, p, b, x, opt)  → NewSolver(m, p, WithMethod(MethodBiCGSTAB), ...)
-//	SolveCGWith(m, ap, b, x, opt)   → same Solver — per-call appliers are pooled internally
-//	SolveGMRESWith / SolveBiCGSTABWith → likewise; drop the Applier plumbing
-//	opt.Tol / MaxIter / Restart     → WithTol / WithMaxIter / WithRestart
-//	opt.Threads / Runtime           → WithThreads / WithRuntime (default: inherit the engine's)
-//	opt.Work (workspace reuse)      → automatic (pooled per call)
 //
 // One Solver binds one (matrix, preconditioner) pair; build another
 // for another system. The Preconditioner must outlive the Solver;
@@ -116,24 +103,29 @@
 // # Live updates & drift policy
 //
 // The matrix side of a solve carries the same epoch discipline as the
-// factor side. A VersionedMatrix wraps a fixed sparsity pattern with
-// epoch-versioned values: UpdateValues (or UpdateMatrix) publishes a
-// complete new value generation with one atomic swap — publishers
-// never block and never wait for readers — and a retired generation's
-// buffer is recycled for a later update once its last pinned reader
-// finishes, so a steady stream of updates ping-pongs between two
-// buffers and allocates nothing.
+// factor side, through the same primitive (internal/epoch): a value
+// array versioned by generation over a fixed pattern. A
+// VersionedMatrix wraps a fixed sparsity pattern with such values:
+// UpdateValues (or UpdateMatrix) publishes a complete new value
+// generation with one atomic swap — publishers never block and never
+// wait for readers — and a retired generation's buffer is recycled
+// for a later update once its last pinned reader finishes, so a
+// steady stream of updates ping-pongs between two buffers and
+// allocates nothing.
 //
-// A Solver built with NewVersionedSolver pins one consistent
-// (A-epoch, factor-epoch) pair for the whole solve. The invariant,
-// precisely: every matvec and every preconditioner application of one
-// Solve call reads the matrix values of exactly one published matrix
-// epoch and the factor values of exactly one published factor epoch —
-// the pair current when the solve began — no matter how many
-// UpdateValues or Refactorize publications land mid-solve. SolverStats
-// reports the pair (MatrixEpoch, FactorEpoch), and two solves of the
-// same right-hand side reporting the same pair compute
-// bitwise-identical trajectories.
+// Every Solver pins one consistent (A-epoch, factor-epoch) pair for
+// the whole solve. The invariant, precisely: every matvec and every
+// preconditioner application of one Solve call reads the matrix
+// values of exactly one published matrix epoch and the factor values
+// of exactly one published factor epoch — the pair current when the
+// solve began — no matter how many UpdateValues or Refactorize
+// publications land mid-solve. SolverStats reports the pair
+// (MatrixEpoch, FactorEpoch), and two solves of the same right-hand
+// side reporting the same pair compute bitwise-identical
+// trajectories. NewVersionedSolver pins the VersionedMatrix's
+// generations; NewSolver is the never-updated case: its matrix's
+// values are one generation, adopted without a copy and never
+// republished, so its solves always report MatrixEpoch 1.
 //
 // WithAutoRefactorize closes the loop: a DriftPolicy watches each
 // solve through the Monitor hook (mid-solve residual growth) and its
@@ -293,10 +285,10 @@
 // blocking CI job. Each analyzer guards one contract:
 //
 //   - pinpair — epoch pinning (the live-refactorization contract):
-//     every AcquireContext/ReleaseContext, PinEpoch/UnpinEpoch, and
-//     VersionedMatrix/Versioned Pin/Unpin must be paired on every
-//     return path, including error paths, by defer or explicit call. A
-//     leaked pin strands a retired generation's buffer forever.
+//     every AcquireContext/ReleaseContext and every epoch.Values or
+//     VersionedMatrix Pin/Unpin must be paired on every return path,
+//     including error paths, by defer or explicit call. A leaked pin
+//     strands a retired generation's buffer forever.
 //   - kernelpurity — the bitwise-identity contract, Go side: kernel
 //     bodies in internal/kernels must not use math.FMA, iterate maps,
 //     launch goroutines, or import time/math/rand.

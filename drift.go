@@ -169,9 +169,6 @@ func (dc *driftController) releaseProbe(pr *driftProbe) {
 // converged is the raw Krylov outcome; grew is the probe's mid-solve
 // residual-growth flag.
 func (dc *driftController) observe(st SolverStats, converged, grew bool) {
-	if st.MatrixEpoch == 0 {
-		return
-	}
 	dc.mu.Lock()
 	if st.MatrixEpoch == dc.srcEpoch {
 		if dc.baseCount == 0 || st.Iterations < dc.baseline {
@@ -205,6 +202,7 @@ func (dc *driftController) observe(st SolverStats, converged, grew bool) {
 	dc.stats.Triggers++
 	dc.wg.Add(1)
 	dc.mu.Unlock()
+	//javelin:alloc-ok the background refactorization runs off the solve path, once per drift trigger
 	go dc.refactorize()
 }
 
@@ -217,7 +215,7 @@ func (dc *driftController) refactorize() {
 	defer dc.wg.Done()
 	ep := dc.vm.Pin()
 	defer dc.vm.Unpin(ep)
-	err := dc.p.e.Refactorize(dc.vm.epochMatrix(ep))
+	err := dc.p.e.Refactorize(dc.vm.withVals(ep.Vals()))
 	ev := RefactorizeEvent{MatrixEpoch: ep.Seq(), Err: err}
 	dc.mu.Lock()
 	dc.inflight = false

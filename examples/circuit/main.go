@@ -5,6 +5,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -45,10 +47,15 @@ func main() {
 		}
 		factTime := time.Since(t0)
 
+		s, err := javelin.NewSolver(m, p, javelin.WithMethod(javelin.MethodGMRES),
+			javelin.WithTol(1e-8), javelin.WithRestart(40))
+		if err != nil {
+			log.Fatalf("solver (%v): %v", lower, err)
+		}
 		x := make([]float64, n)
 		t0 = time.Now()
-		st, err := javelin.SolveGMRES(m, p, b, x, javelin.SolverOptions{Tol: 1e-8, Restart: 40})
-		if err != nil {
+		st, err := s.Solve(context.Background(), b, x)
+		if err != nil && !errors.Is(err, javelin.ErrNotConverged) {
 			log.Fatalf("gmres (%v): %v", lower, err)
 		}
 		fmt.Printf("%-5v factor=%-12v gmres: iters=%-4d converged=%-5v solve=%v\n",

@@ -5,6 +5,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -43,8 +45,12 @@ func main() {
 			pb[newI] = b[oldI]
 		}
 		x := make([]float64, n)
-		st, err := javelin.SolveCG(pm, p, pb, x, javelin.SolverOptions{Tol: 1e-6})
+		s, err := javelin.NewSolver(pm, p, javelin.WithMethod(javelin.MethodCG), javelin.WithTol(1e-6))
 		if err != nil {
+			log.Fatalf("%s: solver: %v", ord.name, err)
+		}
+		st, err := s.Solve(context.Background(), pb, x)
+		if err != nil && !errors.Is(err, javelin.ErrNotConverged) {
 			log.Fatalf("%s: solve: %v", ord.name, err)
 		}
 		fmt.Printf("%-4s levels=%-5d upper-rows=%-7d lower=%-4s iters=%-5d converged=%v\n",

@@ -3,9 +3,10 @@
 // enforces only by prose and tests.
 //
 //   - pinpair: every AcquireContext/ReleaseContext and every
-//     PinEpoch/UnpinEpoch must be paired on every return path (the
-//     epoch-pinning contract of internal/core — a leaked pin strands a
-//     retired factor buffer forever).
+//     Pin/Unpin of an epoch.Values or VersionedMatrix must be paired
+//     on every return path (the generation-pinning contract of
+//     internal/epoch — a leaked pin strands a retired value buffer
+//     forever).
 //   - kernelpurity: the numeric kernel bodies in internal/kernels must
 //     stay deterministic — no math.FMA (contracts a mul+add into one
 //     rounding), no map iteration (nondeterministic order), no

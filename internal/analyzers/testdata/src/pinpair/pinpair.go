@@ -1,61 +1,52 @@
-// Package pinpair is a fixture for the pinpair analyzer. Stub Engine
-// and SolveContext types mirror internal/core's epoch-pinning API, and
-// each function exercises one violating or compliant pairing pattern;
-// `// want` comments mark the lines where findings must land.
+// Package pinpair is a fixture for the pinpair analyzer. Stub Engine,
+// SolveContext and Values types mirror the generation-pinning API of
+// internal/core and internal/epoch, and each function exercises one
+// violating or compliant pairing pattern; `// want` comments mark the
+// lines where findings must land.
 package pinpair
 
 import "errors"
 
-// SolveContext mirrors internal/core.SolveContext's pinning surface.
-type SolveContext struct{ pins int }
-
-// PinEpoch mirrors the real pin bracket open.
-func (c *SolveContext) PinEpoch() { c.pins++ }
-
-// UnpinEpoch mirrors the real pin bracket close.
-func (c *SolveContext) UnpinEpoch() { c.pins-- }
+// SolveContext mirrors internal/core.SolveContext (holds a pin while
+// acquired).
+type SolveContext struct{ acquired bool }
 
 // Engine mirrors internal/core.Engine's context pool surface.
 type Engine struct{}
 
 // AcquireContext mirrors the real acquire (pins on acquire).
-func (e *Engine) AcquireContext() *SolveContext {
-	c := &SolveContext{}
-	c.PinEpoch()
-	return c
-}
+func (e *Engine) AcquireContext() *SolveContext { return &SolveContext{acquired: true} }
 
 // ReleaseContext mirrors the real release (unpins on release).
-func (e *Engine) ReleaseContext(c *SolveContext) { c.UnpinEpoch() }
+func (e *Engine) ReleaseContext(c *SolveContext) { c.acquired = false }
 
-// ValEpoch mirrors internal/sparse.ValEpoch (one pinned value
-// generation).
-type ValEpoch struct{ refs int }
+// Gen mirrors internal/epoch.Gen (one pinned value generation).
+type Gen struct{ refs int }
 
-// Versioned mirrors internal/sparse.Versioned's pinning surface.
-type Versioned struct{ cur *ValEpoch }
+// Values mirrors internal/epoch.Values' pinning surface.
+type Values struct{ cur *Gen }
 
 // Pin mirrors the real handle-returning pin.
-func (v *Versioned) Pin() *ValEpoch { v.cur.refs++; return v.cur }
+func (v *Values) Pin() *Gen { v.cur.refs++; return v.cur }
 
 // Unpin mirrors the real handle-consuming release.
-func (v *Versioned) Unpin(ep *ValEpoch) { ep.refs-- }
+func (v *Values) Unpin(g *Gen) { g.refs-- }
 
-// VersionedMatrix mirrors the root package's wrapper around Versioned.
-type VersionedMatrix struct{ v *Versioned }
+// VersionedMatrix mirrors the root package's wrapper around Values.
+type VersionedMatrix struct{ v *Values }
 
 // Pin mirrors VersionedMatrix.Pin.
-func (m *VersionedMatrix) Pin() *ValEpoch { return m.v.Pin() }
+func (m *VersionedMatrix) Pin() *Gen { return m.v.Pin() }
 
 // Unpin mirrors VersionedMatrix.Unpin.
-func (m *VersionedMatrix) Unpin(ep *ValEpoch) { m.v.Unpin(ep) }
+func (m *VersionedMatrix) Unpin(g *Gen) { m.v.Unpin(g) }
 
 // decoy carries same-named Pin/Unpin methods on an unrelated type; the
 // analyzer's receiver-type guard must leave them untracked.
 type decoy struct{}
 
-func (d *decoy) Pin() *ValEpoch     { return nil }
-func (d *decoy) Unpin(ep *ValEpoch) {}
+func (d *decoy) Pin() *Gen    { return nil }
+func (d *decoy) Unpin(g *Gen) {}
 
 var errFixture = errors.New("fixture")
 
@@ -84,28 +75,12 @@ func assignedToBlank(e *Engine) {
 	_ = e.AcquireContext() // want `result of AcquireContext assigned to _`
 }
 
-// pinLeakOnBranch unpins on the fall-through path only.
-func pinLeakOnBranch(c *SolveContext, n int) {
-	c.PinEpoch()
-	if n > 0 {
-		return // want `PinEpoch at .*pinpair\.go:\d+ is not unpinned on this return path`
-	}
-	c.UnpinEpoch()
-}
-
 // leakAtEnd never releases at all: flagged at the implicit return when
 // the function falls off its end.
 func leakAtEnd(e *Engine) {
 	c := e.AcquireContext()
 	work(c)
 } // want `AcquireContext at .*pinpair\.go:\d+ is not released on this return path`
-
-// unbalancedNest opens two pin brackets and closes one.
-func unbalancedNest(c *SolveContext) {
-	c.PinEpoch()
-	c.PinEpoch()
-	c.UnpinEpoch()
-} // want `PinEpoch at .*pinpair\.go:\d+ is not unpinned on this return path`
 
 // matrixPinLeakOnError unpins the matrix epoch on the happy path only:
 // the early error return keeps the pinned value generation alive
@@ -129,9 +104,9 @@ func matrixPinBlank(vm *VersionedMatrix) {
 	_ = vm.Pin() // want `result of Pin assigned to _`
 }
 
-// versionedPinLeakAtEnd pins the internal Versioned type and never
-// unpins: flagged at the implicit return.
-func versionedPinLeakAtEnd(v *Versioned) {
+// valuesPinLeakAtEnd pins the internal Values type and never unpins:
+// flagged at the implicit return.
+func valuesPinLeakAtEnd(v *Values) {
 	ep := v.Pin()
 	_ = ep
 } // want `Pin at .*pinpair\.go:\d+ is not unpinned on this return path`
@@ -168,24 +143,6 @@ func explicitBothPaths(e *Engine, fail bool) error {
 	return nil
 }
 
-// balancedNest opens and closes matching pin brackets.
-func balancedNest(c *SolveContext) {
-	c.PinEpoch()
-	c.PinEpoch()
-	c.UnpinEpoch()
-	c.UnpinEpoch()
-}
-
-// deferUnpin covers a pin bracket with a defer.
-func deferUnpin(c *SolveContext, fail bool) error {
-	c.PinEpoch()
-	defer c.UnpinEpoch()
-	if fail {
-		return errFixture
-	}
-	return nil
-}
-
 // holder models the Applier pattern: ownership of the acquired context
 // transfers out of the function, so no release is required here.
 type holder struct{ c *SolveContext }
@@ -201,11 +158,11 @@ func releaseParam(e *Engine, c *SolveContext) {
 }
 
 // loopBalanced pins and unpins inside a loop body.
-func loopBalanced(c *SolveContext, n int) {
+func loopBalanced(v *Values, n int) {
 	for i := 0; i < n; i++ {
-		c.PinEpoch()
-		work(c)
-		c.UnpinEpoch()
+		g := v.Pin()
+		_ = g
+		v.Unpin(g)
 	}
 }
 
@@ -231,8 +188,8 @@ func matrixPinDefer(vm *VersionedMatrix, fail bool) error {
 	return nil
 }
 
-// versionedPinExplicit unpins explicitly before each return.
-func versionedPinExplicit(v *Versioned, fail bool) error {
+// valuesPinExplicit unpins explicitly before each return.
+func valuesPinExplicit(v *Values, fail bool) error {
 	ep := v.Pin()
 	if fail {
 		v.Unpin(ep)
@@ -244,8 +201,8 @@ func versionedPinExplicit(v *Versioned, fail bool) error {
 
 // unpinParam releases an epoch pinned elsewhere: closing an untracked
 // handle is always fine (the Applier-style ownership transfer).
-func unpinParam(vm *VersionedMatrix, ep *ValEpoch) {
-	vm.Unpin(ep)
+func unpinParam(vm *VersionedMatrix, g *Gen) {
+	vm.Unpin(g)
 }
 
 // decoyPin exercises the receiver-type guard: Pin on an unrelated

@@ -5,9 +5,9 @@ import (
 	"math"
 	"sync/atomic"
 
+	"javelin/internal/exec"
 	"javelin/internal/ilu"
 	"javelin/internal/sparse"
-	"javelin/internal/util"
 )
 
 // ChowPatelOptions configures the fine-grained iterative ILU of
@@ -93,7 +93,13 @@ func ChowPatel(a *sparse.CSR, opt ChowPatelOptions) (*ilu.Factor, error) {
 		work[k] = math.Float64bits(v)
 	}
 	for s := 0; s < opt.Sweeps; s++ {
-		util.ParallelForDynamic(n, opt.Threads, 64, func(i int) {
+		if opt.Threads <= 1 {
+			for i := 0; i < n; i++ {
+				sweepRow(f, aVal, work, i)
+			}
+			continue
+		}
+		exec.Default().ForDynamic(n, opt.Threads, 64, func(i int) {
 			sweepRow(f, aVal, work, i)
 		})
 	}

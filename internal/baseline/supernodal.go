@@ -21,9 +21,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"javelin/internal/exec"
 	"javelin/internal/ilu"
 	"javelin/internal/sparse"
-	"javelin/internal/util"
 )
 
 // SupernodalOptions configures the WSMP-analogue factorization.
@@ -395,7 +395,7 @@ func (q *globalQueue) drain(threads, n int) error {
 	// One drainer per range piece on the persistent runtime; each
 	// piece owns its dense scratch.
 	var firstErr atomic.Value
-	util.ParallelRanges(threads, threads, func(worker, lo, hi int) {
+	exec.Default().Ranges(threads, threads, func(worker, lo, hi int) {
 		sc := newSnScratch(n)
 		for {
 			task := q.pop()

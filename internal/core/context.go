@@ -1,47 +1,50 @@
 package core
 
 import (
+	"javelin/internal/epoch"
 	"javelin/internal/p2p"
 )
 
 // SolveContext holds the per-caller mutable state of the triangular
 // solves: permutation scratch, batch blocks, the per-run progress
-// counters of the p2p schedules, and the pinned factor-value epoch.
-// The engine's symbolic state is immutable during solves, so any
-// number of goroutines may apply one shared Engine concurrently as
-// long as each uses its own SolveContext (create one per goroutine
-// with NewContext, or draw one per call with AcquireContext). A
-// single SolveContext must not be used from two goroutines at once.
+// counters of the p2p schedules, and the pinned factor-value
+// generation. The engine's symbolic state is immutable during solves,
+// so any number of goroutines may apply one shared Engine
+// concurrently as long as each uses its own SolveContext (create one
+// per goroutine with NewContext, or draw one per call with
+// AcquireContext). A single SolveContext must not be used from two
+// goroutines at once.
 //
-// Epoch semantics: every solve reads factor values from an epoch
-// snapshot, so Refactorize may run concurrently with any context's
-// solves. A context from AcquireContext pins the then-current epoch
-// for its whole acquire→release window — every solve through it sees
-// one consistent generation, which is what gives a Krylov solve a
-// fixed preconditioner even while Refactorize publishes new values
-// mid-solve. A context from NewContext pins per call instead: each
-// top-level Apply/Solve* runs entirely on the epoch current at its
-// entry and picks up newer values on the next call.
+// Generation semantics: every solve reads factor values from a pinned
+// generation, so Refactorize may run concurrently with any context's
+// solves. A context from AcquireContext pins the then-current
+// generation for its whole acquire→release window — every solve
+// through it sees one consistent generation, which is what gives a
+// Krylov solve a fixed preconditioner even while Refactorize
+// publishes new values mid-solve. A context from NewContext pins per
+// call instead: each top-level Apply/Solve* runs entirely on the
+// generation current at its entry and picks up newer values on the
+// next call.
 //
 // Per-call pinning means a SEQUENCE of standalone calls — the
 // classic SolveLower-then-SolveUpper pair — can straddle a publish
 // and combine L from one generation with U from another. Apply and
 // ApplyBatch are immune (one call, one pin); callers issuing the
-// pair themselves while Refactorize may run concurrently should
-// bracket it with PinEpoch/UnpinEpoch or use an acquired context.
+// pair themselves while Refactorize may run concurrently should issue
+// it on an acquired context.
 type SolveContext struct {
 	e          *Engine
 	runL, runU *p2p.Run
 
-	// ep/vals is the pinned value epoch all kernels read. pins counts
-	// held window-pins — one from AcquireContext (released by
-	// ReleaseContext) plus any nested PinEpoch brackets; while it is
-	// zero, enter/exit pin around each top-level solve instead, with
-	// depth tracking re-entrancy (Apply calls SolveLower/SolveUpper).
-	ep    *epoch
-	vals  []float64
-	pins  int
-	depth int
+	// gen/vals is the pinned factor generation all kernels read.
+	// acquired marks the AcquireContext window pin (released by
+	// ReleaseContext); without it, enter/exit pin around each
+	// top-level solve instead, with depth tracking re-entrancy (Apply
+	// calls SolveLower/SolveUpper).
+	gen      *epoch.Gen
+	vals     []float64
+	acquired bool
+	depth    int
 
 	tmp1 []float64 // Apply permutation scratch (solves run in place on it)
 	blk  []float64 // packed n×k batch scratch (lazily grown)
@@ -53,12 +56,12 @@ type SolveContext struct {
 // when its capacity exceeds retainedBlkRHS right-hand sides' worth.
 const retainedBlkRHS = 4
 
-// enter pins the current epoch for a top-level solve on an unpinned
-// context (a no-op at re-entrant depth or under an acquire-held pin).
+// enter pins the current generation for a top-level solve on an
+// unacquired context (a no-op at re-entrant depth or under the
+// acquire-window pin).
 func (c *SolveContext) enter() {
-	if c.depth == 0 && c.ep == nil {
-		c.ep = c.e.pinEpoch()
-		c.vals = c.ep.vals
+	if c.depth == 0 && !c.acquired {
+		c.pin()
 	}
 	c.depth++
 }
@@ -67,10 +70,23 @@ func (c *SolveContext) enter() {
 // solve completes.
 func (c *SolveContext) exit() {
 	c.depth--
-	if c.depth == 0 && c.pins == 0 {
-		c.e.unpinEpoch(c.ep)
-		c.ep, c.vals = nil, nil
+	if c.depth == 0 && !c.acquired {
+		c.unpin()
 	}
+}
+
+// pin takes a reader reference on the engine's current factor
+// generation.
+func (c *SolveContext) pin() {
+	c.gen = c.e.vals.Pin()
+	c.vals = c.gen.Vals()
+}
+
+// unpin releases the held generation against the context's own
+// engine.
+func (c *SolveContext) unpin() {
+	c.e.vals.Unpin(c.gen)
+	c.gen, c.vals = nil, nil
 }
 
 // NewContext creates an independent solve context over the engine.
@@ -92,7 +108,7 @@ func (e *Engine) NewContext() *SolveContext {
 // solve) reuse contexts across any number of concurrent callers
 // without allocating once the pool is warm. The returned context is
 // exclusively the caller's until released, and is pinned to the
-// factor-value epoch current at the acquire: every solve through it
+// factor generation current at the acquire: every solve through it
 // uses that one consistent snapshot even if Refactorize publishes new
 // values meanwhile.
 func (e *Engine) AcquireContext() *SolveContext {
@@ -100,15 +116,14 @@ func (e *Engine) AcquireContext() *SolveContext {
 	if !ok {
 		c = e.NewContext()
 	}
-	c.ep = e.pinEpoch()
-	c.vals = c.ep.vals
-	c.pins = 1
+	c.pin()
+	c.acquired = true
 	return c
 }
 
 // ReleaseContext returns an acquired context to the engine's pool,
-// unpinning its epoch (which lets a drained old generation's buffer
-// recycle) and dropping oversized batch scratch so one large
+// unpinning its generation (which lets a drained old generation's
+// buffer recycle) and dropping oversized batch scratch so one large
 // ApplyBatch does not pin an n×k block in the pool forever. The
 // context must not be used after release. Contexts belonging to a
 // different engine are dropped rather than pooled (a foreign context
@@ -119,13 +134,11 @@ func (e *Engine) ReleaseContext(c *SolveContext) {
 	}
 	// Unpin against the context's OWN engine even on a foreign
 	// release: dropping the context without draining its pin would
-	// strand the pinned epoch's buffer in the owner's retired list
-	// forever.
-	if c.ep != nil {
-		c.e.unpinEpoch(c.ep)
-		c.ep, c.vals = nil, nil
+	// strand the pinned buffer in the owner's retired list forever.
+	if c.gen != nil {
+		c.unpin()
 	}
-	c.pins = 0
+	c.acquired = false
 	c.depth = 0
 	if c.e != e {
 		return // foreign context: released, but never pooled here
@@ -139,45 +152,16 @@ func (e *Engine) ReleaseContext(c *SolveContext) {
 // Engine returns the engine this context applies.
 func (c *SolveContext) Engine() *Engine { return c.e }
 
-// FactorEpoch returns the sequence number of the factor-value epoch
+// FactorEpoch returns the sequence number of the factor generation
 // this context currently holds pinned, or 0 when no pin is held (a
 // per-call context between solves). On a context from AcquireContext
 // it identifies the factor generation every solve in the
 // acquire→release window reads.
 func (c *SolveContext) FactorEpoch() uint64 {
-	if c.ep == nil {
+	if c.gen == nil {
 		return 0
 	}
-	return c.ep.seq
-}
-
-// PinEpoch pins the current factor-value epoch so that a sequence of
-// standalone solves (e.g. a SolveLower followed by a SolveUpper)
-// observes one consistent factor generation even if Refactorize
-// publishes between the calls. Pins count and nest: each PinEpoch is
-// balanced by one UnpinEpoch, and a bracket on an acquired context
-// (already pinned for its whole acquire→release window) nests inside
-// the acquire pin without disturbing it.
-func (c *SolveContext) PinEpoch() {
-	if c.ep == nil {
-		c.ep = c.e.pinEpoch()
-		c.vals = c.ep.vals
-	}
-	c.pins++
-}
-
-// UnpinEpoch releases one PinEpoch pin; once no window-pins remain,
-// subsequent solves return to pinning per call (each observing the
-// values current at its entry).
-func (c *SolveContext) UnpinEpoch() {
-	if c.pins == 0 {
-		return
-	}
-	c.pins--
-	if c.pins == 0 && c.depth == 0 && c.ep != nil {
-		c.e.unpinEpoch(c.ep)
-		c.ep, c.vals = nil, nil
-	}
+	return c.gen.Seq()
 }
 
 // Apply applies the preconditioner in USER ordering: z ≈ A⁻¹ r via

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"javelin/internal/epoch"
 	"javelin/internal/exec"
 	"javelin/internal/ilu"
 	"javelin/internal/kernels"
@@ -211,18 +212,11 @@ type Engine struct {
 	ownRT     bool
 	closeOnce sync.Once
 
-	// cur is the published factor-value epoch. Solves pin it
-	// (pinEpoch) and read values only from the pinned snapshot;
-	// Refactorize builds the next generation off to the side and
-	// swaps it in here. See epoch.go.
-	cur atomic.Pointer[epoch]
-	// refacMu serializes Refactorize (build + publish) against
-	// itself. It is never taken on a solve path, so factor refreshes
-	// and solves proceed concurrently.
-	refacMu sync.Mutex
-	// retired holds swapped-out epochs until their readers drain and
-	// their buffers recycle.
-	retired []*epoch //javelin:plain-under-mu refacMu
+	// vals versions the factor values: solves pin a generation and
+	// read values only from it, and Refactorize fills the next one off
+	// to the side and publishes it (internal/epoch). factor.LU itself
+	// is pattern-only.
+	vals *epoch.Values
 	// refacFails counts Refactorize calls that returned an error and
 	// left the previous epoch serving (the drift policy's failure
 	// signal).
@@ -326,10 +320,13 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 
 	e.defCtx = e.NewContext()
 
-	if err := e.Refactorize(a); err != nil {
+	// The skeleton's own value array becomes generation 1.
+	if err := e.factorInto(a, permPat.Val); err != nil {
 		e.Close()
 		return nil, err
 	}
+	e.vals = epoch.New(permPat.Val)
+	permPat.Val = nil
 	if opt.Threads > 1 {
 		e.probeSolveSweep()
 	}
@@ -426,13 +423,16 @@ func (e *Engine) Method() LowerMethod { return e.method }
 // N returns the matrix dimension.
 func (e *Engine) N() int { return e.n }
 
-// Factor exposes the permuted factor (read-only use). Its LU.Val
-// always tracks the most recently published epoch, which makes it a
-// sequential-inspection view: do not read it concurrently with
-// Refactorize, and note that a value slice captured from it is only
-// guaranteed stable until the second following Refactorize (at which
-// point the drained buffer is recycled as a build target).
-func (e *Engine) Factor() *ilu.Factor { return e.factor }
+// Factor returns the permuted factor with the most recently published
+// values (read-only use). It is a sequential-inspection view: do not
+// read it concurrently with Refactorize, and note that its values are
+// only guaranteed stable until the second following Refactorize (at
+// which point the drained buffer is recycled as a build target).
+func (e *Engine) Factor() *ilu.Factor {
+	lu := *e.factor.LU
+	lu.Val = e.vals.Current().Vals()
+	return &ilu.Factor{LU: &lu, DiagPos: e.factor.DiagPos}
+}
 
 // Split exposes the two-stage partition.
 func (e *Engine) Split() *levelset.Split { return e.split }
@@ -456,11 +456,11 @@ func (e *Engine) Runtime() *exec.Runtime { return e.rt }
 // factor-value epoch: 1 after Factorize, +1 per successful
 // Refactorize. Paired with a versioned matrix epoch it identifies the
 // (A, factor) generation pair a solve ran against.
-func (e *Engine) FactorEpoch() uint64 { return e.cur.Load().seq }
+func (e *Engine) FactorEpoch() uint64 { return e.vals.Current().Seq() }
 
 // Refactorizes returns the number of successful Refactorize
 // publications after the initial factorization.
-func (e *Engine) Refactorizes() uint64 { return e.cur.Load().seq - 1 }
+func (e *Engine) Refactorizes() uint64 { return e.vals.Current().Seq() - 1 }
 
 // RefactorizeFailures returns the number of Refactorize calls that
 // failed; each left the previously published epoch serving.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -123,8 +124,10 @@ func TestLiveRefactorizeApplyHammerEpochConsistency(t *testing.T) {
 // TestRefactorizeDoesNotBlockOnPinnedEpoch pins an epoch through an
 // acquired context and verifies Refactorize publishes new values
 // without waiting for the pin, that the pinned context keeps solving
-// on its snapshot, and that the pinned buffer is recycled as the next
-// build target once released (the two-buffer steady state).
+// on its snapshot — also across a standalone SolveLower/SolveUpper
+// pair straddling a publish — and that the pinned buffer is recycled
+// as the next build target once released (the two-buffer steady
+// state).
 func TestRefactorizeDoesNotBlockOnPinnedEpoch(t *testing.T) {
 	e := testEngine(t, LowerAuto, 2)
 	n := e.N()
@@ -139,8 +142,15 @@ func TestRefactorizeDoesNotBlockOnPinnedEpoch(t *testing.T) {
 	refA := make([]float64, n)
 	e.Apply(b, refA)
 
+	wantLU := make([]float64, n)
+	cref := e.NewContext()
+	cref.SolveLower(b, wantLU)
+	cref.SolveUpper(wantLU, wantLU)
+
 	c := e.AcquireContext() // pins the epoch holding a's factor
 	pinnedBuf := &c.vals[0]
+	x := make([]float64, n)
+	c.SolveLower(b, x)
 
 	done := make(chan error, 1)
 	go func() { done <- e.Refactorize(a2) }()
@@ -153,6 +163,10 @@ func TestRefactorizeDoesNotBlockOnPinnedEpoch(t *testing.T) {
 		t.Fatal("Refactorize blocked on an in-flight pinned context")
 	}
 
+	c.SolveUpper(x, x) // the publish landed between L and U
+	if !sameVec(x, wantLU) {
+		t.Fatal("acquired context mixed factor generations across an L/U pair")
+	}
 	z := make([]float64, n)
 	c.Apply(b, z)
 	if !sameVec(z, refA) {
@@ -175,7 +189,7 @@ func TestRefactorizeDoesNotBlockOnPinnedEpoch(t *testing.T) {
 	if err := e.Refactorize(a); err != nil {
 		t.Fatalf("Refactorize with a pin held: %v", err)
 	}
-	if cur := e.cur.Load(); &cur.vals[0] == pinnedBuf {
+	if cur := e.vals.Current(); &cur.Vals()[0] == pinnedBuf {
 		t.Fatal("pinned buffer was recycled while still referenced")
 	}
 
@@ -184,62 +198,9 @@ func TestRefactorizeDoesNotBlockOnPinnedEpoch(t *testing.T) {
 	if err := e.Refactorize(a2); err != nil {
 		t.Fatalf("Refactorize after release: %v", err)
 	}
-	if cur := e.cur.Load(); &cur.vals[0] != pinnedBuf {
+	if cur := e.vals.Current(); &cur.Vals()[0] != pinnedBuf {
 		t.Fatal("drained epoch buffer was not recycled (expected two-buffer steady state)")
 	}
-}
-
-// TestPinEpochBracketsSolvePair: PinEpoch must hold one factor
-// generation across a standalone SolveLower/SolveUpper pair even when
-// Refactorize publishes between the two calls, and UnpinEpoch must
-// return the context to pin-per-call.
-func TestPinEpochBracketsSolvePair(t *testing.T) {
-	e := testEngine(t, LowerAuto, 2)
-	n := e.N()
-	a := gen.TetraMesh(6, 6, 6, 0xbeef)
-
-	rng := util.NewRNG(13)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	want := make([]float64, n)
-	cref := e.NewContext()
-	cref.SolveLower(b, want)
-	cref.SolveUpper(want, want)
-
-	c := e.NewContext()
-	x := make([]float64, n)
-	c.PinEpoch()
-	c.SolveLower(b, x)
-	if err := e.Refactorize(scaleCSR(a, 2)); err != nil {
-		t.Fatalf("Refactorize: %v", err)
-	}
-	c.SolveUpper(x, x) // must still use the pinned generation
-	if !sameVec(x, want) {
-		t.Fatal("pinned L/U pair mixed factor generations across a publish")
-	}
-	c.UnpinEpoch()
-
-	// Unpinned again: the next call sees the new epoch.
-	y := make([]float64, n)
-	c.SolveLower(b, y)
-	yref := make([]float64, n)
-	e.NewContext().SolveLower(b, yref)
-	if !sameVec(y, yref) {
-		t.Fatal("post-unpin solve does not match the current epoch")
-	}
-
-	// A Pin/Unpin bracket on an ACQUIRED context must nest inside the
-	// acquire pin without cancelling it.
-	ac := e.AcquireContext()
-	acEp := ac.ep
-	ac.PinEpoch()
-	ac.UnpinEpoch()
-	if ac.ep != acEp || ac.pins != 1 {
-		t.Fatal("Pin/Unpin bracket disturbed the acquire-window pin")
-	}
-	e.ReleaseContext(ac)
 }
 
 // TestForeignReleaseEpochUnpinned: releasing a context through the
@@ -252,8 +213,8 @@ func TestForeignReleaseEpochUnpinned(t *testing.T) {
 	c := e1.AcquireContext()
 	buf := &c.vals[0]
 	e2.ReleaseContext(c) // foreign: not pooled, but the pin must drain
-	if c.ep != nil {
-		t.Fatal("foreign release left the epoch pinned")
+	if c.gen != nil {
+		t.Fatal("foreign release left the generation pinned")
 	}
 	a := gen.TetraMesh(6, 6, 6, 0xbeef)
 	if err := e1.Refactorize(scaleCSR(a, 2)); err != nil {
@@ -262,7 +223,7 @@ func TestForeignReleaseEpochUnpinned(t *testing.T) {
 	if err := e1.Refactorize(a); err != nil {
 		t.Fatalf("Refactorize: %v", err)
 	}
-	if cur := e1.cur.Load(); &cur.vals[0] != buf {
+	if cur := e1.vals.Current(); &cur.Vals()[0] != buf {
 		t.Fatal("buffer pinned at foreign release was never recycled")
 	}
 }
@@ -456,4 +417,67 @@ func TestReleaseContextDropsOversizedBlk(t *testing.T) {
 		t.Fatalf("oversized batch scratch retained in pool: cap %d", cap(c3.blk))
 	}
 	e.ReleaseContext(c3)
+}
+
+// TestPivotFailuresWrapErrZeroPivot runs {ER, SR} × {zero pivot, NaN
+// entry} × {Factorize, Refactorize}: every failure must wrap
+// ilu.ErrZeroPivot — a NaN pivot included, which a |p| < floor check
+// would pass — and a failed Refactorize must leave the previous
+// generation serving.
+func TestPivotFailuresWrapErrZeroPivot(t *testing.T) {
+	a := gen.TetraMesh(6, 6, 6, 0xbeef)
+	for _, lower := range []LowerMethod{LowerER, LowerSR} {
+		e := testEngine(t, lower, 2)
+		if e.Split().NLower() == 0 {
+			t.Fatalf("%v: test matrix has no lower-stage rows", lower)
+		}
+		perm := e.Perm()
+		bads := []struct {
+			name string
+			row  int // original row whose diagonal is overwritten
+			val  float64
+		}{
+			// perm[0] is first in the permuted order, so it has no
+			// sub-diagonal entries: its pivot is exactly its diagonal.
+			{"zero pivot", perm[0], 0},
+			// perm[n-1] is the last lower-stage row.
+			{"NaN entry", perm[len(perm)-1], math.NaN()},
+		}
+		for _, bad := range bads {
+			aBad := a.Clone()
+			for k := aBad.RowPtr[bad.row]; k < aBad.RowPtr[bad.row+1]; k++ {
+				if aBad.ColIdx[k] == bad.row {
+					aBad.Val[k] = bad.val
+				}
+			}
+			opt := DefaultOptions()
+			opt.Threads = 2
+			opt.Lower = lower
+			opt.Split.MinRowsPerLevel = 8
+			if _, err := Factorize(aBad, opt); !errors.Is(err, ilu.ErrZeroPivot) {
+				t.Errorf("%v %s Factorize: want ErrZeroPivot, got %v", lower, bad.name, err)
+			}
+
+			n := e.N()
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = float64(i%7) - 3
+			}
+			ref := make([]float64, n)
+			e.Apply(b, ref)
+			epoch, fails := e.FactorEpoch(), e.RefactorizeFailures()
+			if err := e.Refactorize(aBad); !errors.Is(err, ilu.ErrZeroPivot) {
+				t.Errorf("%v %s Refactorize: want ErrZeroPivot, got %v", lower, bad.name, err)
+			}
+			if e.FactorEpoch() != epoch || e.RefactorizeFailures() != fails+1 {
+				t.Errorf("%v %s: failed Refactorize moved epoch %d→%d, failures %d→%d",
+					lower, bad.name, epoch, e.FactorEpoch(), fails, e.RefactorizeFailures())
+			}
+			z := make([]float64, n)
+			e.Apply(b, z)
+			if !sameVec(z, ref) {
+				t.Errorf("%v %s: failed Refactorize disturbed the serving generation", lower, bad.name)
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"javelin/internal/ilu"
@@ -35,22 +36,24 @@ var ErrPatternMismatch = ilu.ErrPatternMismatch
 // current and intact, so solve traffic continues on the last good
 // values.
 func (e *Engine) Refactorize(a *sparse.CSR) error {
-	if err := e.refactorize(a); err != nil {
+	err := e.vals.Publish(func(vals []float64) error { return e.factorInto(a, vals) })
+	if err != nil {
 		e.refacFails.Add(1)
-		return err
 	}
-	return nil
+	return err
 }
 
-func (e *Engine) refactorize(a *sparse.CSR) error {
+// factorInto scatters a onto the factor pattern in vals and factors
+// it there: the whole numeric factorization, into a buffer no solve
+// reads. Callers serialize it (Factorize runs it before the engine is
+// shared, Refactorize under the publish lock), since the engine's
+// factorization scratch (lower-stage compensation, MILU row sums) is
+// shared.
+func (e *Engine) factorInto(a *sparse.CSR, vals []float64) error {
 	if a.N != e.n || a.M != e.n {
 		return errors.New("core: Refactorize dimension mismatch")
 	}
-	e.refacMu.Lock()
-	defer e.refacMu.Unlock()
-	vals := e.grabValuesLocked()
 	if err := e.scatter(a, vals); err != nil {
-		e.recycleValuesLocked(vals)
 		return err
 	}
 	if e.lower != nil {
@@ -58,25 +61,18 @@ func (e *Engine) refactorize(a *sparse.CSR) error {
 			e.lower.comp[i] = 0
 		}
 	}
-	err := e.factorUpper(vals)
-	if err == nil {
-		switch e.method {
-		case LowerNone:
-			// nothing: no lower rows
-		case LowerER:
-			err = e.factorLowerER(vals)
-		case LowerSR:
-			err = e.factorLowerSR(vals)
-		default:
-			err = fmt.Errorf("core: unresolved lower method %v", e.method)
-		}
-	}
-	if err != nil {
-		e.recycleValuesLocked(vals)
+	if err := e.factorUpper(vals); err != nil {
 		return err
 	}
-	e.publishValuesLocked(vals)
-	return nil
+	switch e.method {
+	case LowerNone:
+		return nil // no lower rows
+	case LowerER:
+		return e.factorLowerER(vals)
+	case LowerSR:
+		return e.factorLowerSR(vals)
+	}
+	return fmt.Errorf("core: unresolved lower method %v", e.method)
 }
 
 // scatter copies a's values into the epoch build buffer on the
@@ -246,8 +242,8 @@ func (e *Engine) factorLowerSR(vals []float64) error {
 				for k := sp.kLo; k < sp.kHi; k++ {
 					j := lu.ColIdx[k]
 					piv := vals[e.factor.DiagPos[j]]
-					if piv == 0 || piv < pivotFloor && piv > -pivotFloor {
-						recordErr(fmt.Errorf("core: SR zero pivot at column %d", j))
+					if !(math.Abs(piv) >= pivotFloor) {
+						recordErr(fmt.Errorf("%w at column %d (SR divide)", ilu.ErrZeroPivot, j))
 						return
 					}
 					vals[k] /= piv

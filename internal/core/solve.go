@@ -40,10 +40,10 @@ func (e *Engine) ApplyBatch(R, Z [][]float64) { e.defCtx.ApplyBatch(R, Z) }
 // decision never reroutes to the Threads==1 path, whose lower-stage
 // float association differs in low bits.
 //
-// On an unpinned context each call pins the current epoch for its
-// own duration only; when pairing SolveLower with SolveUpper under
-// concurrent Refactorize, bracket the pair with PinEpoch/UnpinEpoch
-// so both halves use one factor generation.
+// On a context from NewContext each call pins the current factor
+// generation for its own duration only; when pairing SolveLower with
+// SolveUpper under concurrent Refactorize, issue the pair on a context
+// from AcquireContext, which holds one generation until release.
 //
 //javelin:noalloc
 func (c *SolveContext) SolveLower(b, x []float64) {
@@ -156,7 +156,7 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 // pattern rules that order out, recomputed backward levels walked row
 // by row — or, when the measured decision chose it, the same stages
 // inline (bitwise identical; see SolveLower).
-// See SolveLower's note on PinEpoch when pairing the two under
+// See SolveLower's note on AcquireContext when pairing the two under
 // concurrent Refactorize.
 //
 //javelin:noalloc

@@ -43,7 +43,8 @@ var ErrZeroPivot = errors.New("ilu: zero or near-zero pivot")
 // Refactorize here stays lenient for exactly that use).
 var ErrPatternMismatch = errors.New("ilu: matrix entry outside the factorized pattern")
 
-// pivotFloor guards divisions; pivots smaller in magnitude fail.
+// pivotFloor guards divisions; pivots smaller in magnitude, and NaN
+// pivots, fail.
 const pivotFloor = 1e-300
 
 // Options configures a factorization.
@@ -301,7 +302,7 @@ func numericUpLooking(f *Factor, opt Options) error {
 				break
 			}
 			piv := lu.Val[f.DiagPos[j]]
-			if math.Abs(piv) < pivotFloor {
+			if !(math.Abs(piv) >= pivotFloor) {
 				clearScratch(lu, lo, hi, w, pos)
 				return fmt.Errorf("%w at column %d (row %d)", ErrZeroPivot, j, i)
 			}
@@ -350,7 +351,7 @@ func numericUpLooking(f *Factor, opt Options) error {
 		if opt.Modified {
 			w[i] += comp
 		}
-		if math.Abs(w[i]) < pivotFloor {
+		if !(math.Abs(w[i]) >= pivotFloor) {
 			clearScratch(lu, lo, hi, w, pos)
 			return fmt.Errorf("%w at row %d", ErrZeroPivot, i)
 		}

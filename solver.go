@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 
+	"javelin/internal/epoch"
 	"javelin/internal/krylov"
 )
 
@@ -217,23 +218,24 @@ func WithAutoRefactorize(p DriftPolicy) SolverOption {
 // never empties it, so neither a solve's latency nor the Solver's
 // footprint depends on when the garbage collector last ran.
 //
-// This is the supported entry point for serving solve traffic; the
-// free SolveCG/SolveGMRES/SolveBiCGSTAB functions (and their *With
-// variants) are deprecated wrappers over it.
+// This is the entry point for serving solve traffic; a single
+// preconditioner application outside a solve goes through Applier.
 type Solver struct {
 	m      *Matrix
 	p      *Preconditioner
 	cfg    solverConfig
 	method Method // resolved, never MethodAuto
 
-	// vm, when non-nil (NewVersionedSolver), is the live matrix: each
-	// Solve pins one value generation for its whole duration, paired
-	// with the factor epoch its preconditioner context pinned, so the
-	// solve sees one consistent (A, factor) pair however many
-	// UpdateValues/Refactorize publications land mid-flight. m then
-	// holds the construction-time snapshot (method resolution and
-	// shape only — solve paths read the pinned generation instead).
-	vm *VersionedMatrix
+	// vals is the matrix value channel every Solve pins for its whole
+	// duration, paired with the factor generation its preconditioner
+	// context pinned, so each solve sees one consistent (A, factor)
+	// pair however many UpdateValues/Refactorize publications land
+	// mid-flight. It is the VersionedMatrix's own channel
+	// (NewVersionedSolver) or m's values wrapped as a generation that
+	// is never republished (NewSolver). m holds the pattern, and the
+	// construction-time values MethodAuto resolved against; solve
+	// paths read the pinned generation instead.
+	vals *epoch.Values
 	// drift is the auto-refactorization controller (nil unless
 	// WithAutoRefactorize).
 	drift *driftController
@@ -244,7 +246,7 @@ type Solver struct {
 	// preconditioner contexts are pooled by the engine itself
 	// (core.Engine.AcquireContext).
 	wsMu   sync.Mutex
-	wsFree []*SolverWorkspace
+	wsFree []*krylov.Workspace
 }
 
 // NewSolver builds a solve session over m, preconditioned by p (nil
@@ -252,15 +254,17 @@ type Solver struct {
 // bounds; defaults are the paper's evaluation settings (MethodAuto,
 // Tol 1e-6, MaxIter 10·N, Restart 50, threads inherited from p).
 //
-// The returned Solver is immutable and safe for unlimited concurrent
-// Solve calls. It holds no resources beyond its pools; there is
-// nothing to close (the Preconditioner's lifetime is managed
+// m's values become the Solver's one matrix generation, shared rather
+// than copied, and never republished: every Solve reports MatrixEpoch
+// 1. The returned Solver is immutable and safe for unlimited
+// concurrent Solve calls. It holds no resources beyond its pools;
+// there is nothing to close (the Preconditioner's lifetime is managed
 // separately and must cover the Solver's).
 func NewSolver(m *Matrix, p *Preconditioner, opts ...SolverOption) (*Solver, error) {
 	if m == nil || m.csr == nil {
 		return nil, errors.New("javelin: NewSolver: nil matrix")
 	}
-	s, err := newSolver(m, nil, p, opts)
+	s, err := newSolver(m, epoch.New(m.csr.Val), p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +292,7 @@ func NewVersionedSolver(vm *VersionedMatrix, p *Preconditioner, opts ...SolverOp
 	if vm == nil {
 		return nil, errors.New("javelin: NewVersionedSolver: nil matrix")
 	}
-	s, err := newSolver(vm.Matrix(), vm, p, opts)
+	s, err := newSolver(vm.Matrix(), vm.vals, p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -303,8 +307,9 @@ func NewVersionedSolver(vm *VersionedMatrix, p *Preconditioner, opts ...SolverOp
 
 // newSolver is the shared construction path: option folding, method
 // resolution, and thread/runtime inheritance. m is the (snapshot)
-// matrix used for shape checks and MethodAuto resolution.
-func newSolver(m *Matrix, vm *VersionedMatrix, p *Preconditioner, opts []SolverOption) (*Solver, error) {
+// matrix used for shape checks and MethodAuto resolution; vals is the
+// value channel solves pin.
+func newSolver(m *Matrix, vals *epoch.Values, p *Preconditioner, opts []SolverOption) (*Solver, error) {
 	if m.N() != m.Cols() {
 		return nil, fmt.Errorf("%w: matrix is %d×%d, want square", ErrDimension, m.N(), m.Cols())
 	}
@@ -312,7 +317,7 @@ func newSolver(m *Matrix, vm *VersionedMatrix, p *Preconditioner, opts []SolverO
 		return nil, fmt.Errorf("%w: preconditioner is %d×%d, matrix is %d×%d",
 			ErrDimension, p.e.N(), p.e.N(), m.N(), m.N())
 	}
-	s := &Solver{m: m, vm: vm, p: p}
+	s := &Solver{m: m, vals: vals, p: p}
 	for _, o := range opts {
 		o(&s.cfg)
 	}
@@ -375,7 +380,7 @@ func (s *Solver) Solve(ctx context.Context, b, x []float64) (SolverStats, error)
 // makes a new one when every workspace is in use.
 //
 //javelin:alloc-ok free-list warm-up: allocates only until the list holds one workspace per concurrent solve
-func (s *Solver) takeWorkspace() *SolverWorkspace {
+func (s *Solver) takeWorkspace() *krylov.Workspace {
 	s.wsMu.Lock()
 	defer s.wsMu.Unlock()
 	n := len(s.wsFree)
@@ -391,7 +396,7 @@ func (s *Solver) takeWorkspace() *SolverWorkspace {
 // putWorkspace returns a workspace taken by takeWorkspace.
 //
 //javelin:alloc-ok free-list warm-up: the list grows only until it holds one workspace per concurrent solve
-func (s *Solver) putWorkspace(ws *SolverWorkspace) {
+func (s *Solver) putWorkspace(ws *krylov.Workspace) {
 	s.wsMu.Lock()
 	defer s.wsMu.Unlock()
 	s.wsFree = append(s.wsFree, ws)
@@ -400,22 +405,16 @@ func (s *Solver) putWorkspace(ws *SolverWorkspace) {
 // solvePooledPC runs a solve with the given workspace and a
 // preconditioner context drawn from the engine's pool for the
 // duration of the call (the identity when unpreconditioned). The
-// single place per-call contexts are acquired — and, on a versioned
-// solver, the single place the (A-epoch, factor-epoch) pair is
-// pinned: the matrix pin and the acquired context's factor pin both
-// span the whole solve, so every matvec and every preconditioner
-// application inside it reads the same two published generations.
+// single place per-call contexts are acquired and the (A-generation,
+// factor-generation) pair is pinned: the matrix pin and the acquired
+// context's factor pin both span the whole solve, so every matvec and
+// every preconditioner application inside it reads the same two
+// published generations.
 //
 //javelin:noalloc
-func (s *Solver) solvePooledPC(ctx context.Context, ws *SolverWorkspace, b, x []float64) (SolverStats, error) {
-	var vals []float64
-	var mEpoch uint64
-	if s.vm != nil {
-		ep := s.vm.Pin()
-		defer s.vm.Unpin(ep)
-		vals = ep.Vals()
-		mEpoch = ep.Seq()
-	}
+func (s *Solver) solvePooledPC(ctx context.Context, ws *krylov.Workspace, b, x []float64) (SolverStats, error) {
+	ep := s.vals.Pin()
+	defer s.vals.Unpin(ep)
 	var pc krylov.Preconditioner = krylov.Identity{}
 	var fEpoch uint64
 	if s.p != nil {
@@ -431,8 +430,8 @@ func (s *Solver) solvePooledPC(ctx context.Context, ws *SolverWorkspace, b, x []
 		defer s.drift.releaseProbe(probe)
 		mon = probe.fn
 	}
-	st, err := s.run(ctx, pc, ws, b, x, vals, mon)
-	st.MatrixEpoch = mEpoch
+	st, err := s.run(ctx, pc, ws, b, x, ep.Vals(), mon)
+	st.MatrixEpoch = ep.Seq()
 	st.FactorEpoch = fEpoch
 	if s.drift != nil {
 		s.drift.observe(st, err == nil && st.Converged, probe.grew)
@@ -442,8 +441,8 @@ func (s *Solver) solvePooledPC(ctx context.Context, ws *SolverWorkspace, b, x []
 
 // run dispatches to the krylov loops with the session configuration
 // and the given per-call preconditioner, workspace, pinned matrix
-// values (nil means the matrix's own), and monitor.
-func (s *Solver) run(ctx context.Context, pc krylov.Preconditioner, ws *SolverWorkspace, b, x []float64, vals []float64, mon func(IterInfo) bool) (SolverStats, error) {
+// values, and monitor.
+func (s *Solver) run(ctx context.Context, pc krylov.Preconditioner, ws *krylov.Workspace, b, x []float64, vals []float64, mon func(IterInfo) bool) (SolverStats, error) {
 	opt := krylov.Options{
 		Tol:     s.cfg.tol,
 		MaxIter: s.cfg.maxIter,
@@ -498,55 +497,4 @@ func (s *Solver) finish(st SolverStats, err error) (SolverStats, error) {
 		err = ErrNotConverged
 	}
 	return st, &SolveError{Method: s.method, Stats: st, err: err}
-}
-
-// legacySolve backs the deprecated free functions: a throwaway Solver
-// per call, preserving the old contract (explicit Applier/Workspace
-// honored when given, non-convergence reported via Stats.Converged
-// with a nil error).
-func legacySolve(m *Matrix, p *Preconditioner, pc krylov.Preconditioner, meth Method, b, x []float64, opt SolverOptions) (SolverStats, error) {
-	threads := opt.Threads
-	if threads <= 0 {
-		threads = 1 // the old free functions never inherited engine threads
-	}
-	// The old SolverOptions contract treats non-positive bounds as
-	// "use the default", so those are withheld rather than tripping
-	// NewSolver's validation. A NaN/Inf tolerance is forwarded: it
-	// was never a documented default spelling, and a descriptive
-	// construction error beats the old silent spin to MaxIter.
-	opts := []SolverOption{
-		WithMethod(meth), WithThreads(threads),
-		WithRuntime(opt.Runtime), WithMonitor(opt.Monitor),
-	}
-	if opt.Tol > 0 || math.IsNaN(opt.Tol) {
-		opts = append(opts, WithTol(opt.Tol))
-	}
-	if opt.MaxIter > 0 {
-		opts = append(opts, WithMaxIter(opt.MaxIter))
-	}
-	if opt.Restart > 0 {
-		opts = append(opts, WithRestart(opt.Restart))
-	}
-	s, err := NewSolver(m, p, opts...)
-	if err != nil {
-		return SolverStats{}, err
-	}
-	var st SolverStats
-	if pc != nil {
-		// *With variant: the caller supplies the application context.
-		ws := opt.Work
-		if ws == nil {
-			ws = krylov.NewWorkspace()
-		}
-		st, err = s.finish(s.run(opt.Ctx, pc, ws, b, x, nil, s.cfg.monitor))
-	} else if opt.Work != nil {
-		// Caller-managed workspace; preconditioner context still pooled.
-		st, err = s.solvePooledPC(opt.Ctx, opt.Work, b, x)
-	} else {
-		st, err = s.Solve(opt.Ctx, b, x)
-	}
-	if err != nil && errors.Is(err, ErrNotConverged) {
-		return st, nil // old contract: report via Stats.Converged
-	}
-	return st, err
 }

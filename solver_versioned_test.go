@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"javelin/internal/sparse"
 )
 
 // versionedProblem builds a small SPD grid system with a versioned
@@ -83,8 +85,9 @@ func TestVersionedSolverMatchesPlainSolver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plain Solve: %v", err)
 	}
-	if stP.MatrixEpoch != 0 {
-		t.Fatalf("plain solver reported matrix epoch %d, want 0", stP.MatrixEpoch)
+	// A NewSolver's matrix is a generation that is never republished.
+	if stP.MatrixEpoch != 1 {
+		t.Fatalf("plain solver reported matrix epoch %d, want 1", stP.MatrixEpoch)
 	}
 	if stP.FactorEpoch != 1 {
 		t.Fatalf("plain solver factor epoch = %d, want 1", stP.FactorEpoch)
@@ -145,6 +148,43 @@ func TestVersionedSolverSeesUpdates(t *testing.T) {
 	// The solve must have converged against the UPDATED matrix.
 	if res := trueRelResidual(matrixAt(t, m, 2), b, x); res > 1e-6 {
 		t.Fatalf("residual against epoch-2 matrix = %g", res)
+	}
+}
+
+// TestVersionedRejectsInvalid: construction validates the matrix and
+// copies its values, so later writes to the source are not observed.
+func TestVersionedRejectsInvalid(t *testing.T) {
+	if _, err := NewVersionedMatrix(nil); err == nil {
+		t.Fatal("NewVersionedMatrix accepted nil")
+	}
+	bad := &Matrix{csr: &sparse.CSR{N: 2, M: 2, RowPtr: []int{0, 1}, ColIdx: []int{0}, Val: []float64{1}}}
+	if _, err := NewVersionedMatrix(bad); err == nil {
+		t.Fatal("NewVersionedMatrix accepted an invalid CSR")
+	}
+	m := GridLaplacian(4, 4, 1, Star5, 0)
+	vm, err := NewVersionedMatrix(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v0 := m.Raw().Val[0]
+	m.Raw().Val[0] = 999
+	if got := vm.Matrix().Raw().Val[0]; got != v0 {
+		t.Fatalf("versioned matrix shares the source's values: %g", got)
+	}
+}
+
+// TestVersionedUpdateLengthMismatch: a wrong-length update fails and
+// publishes nothing.
+func TestVersionedUpdateLengthMismatch(t *testing.T) {
+	vm, err := NewVersionedMatrix(GridLaplacian(4, 4, 1, Star5, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.UpdateValues(make([]float64, vm.Nnz()+1)); err == nil {
+		t.Fatal("UpdateValues accepted a wrong-length slice")
+	}
+	if vm.Epoch() != 1 || vm.Updates() != 0 {
+		t.Fatalf("failed update moved epoch/updates to %d/%d", vm.Epoch(), vm.Updates())
 	}
 }
 

@@ -4,13 +4,14 @@ import (
 	"errors"
 	"fmt"
 
+	"javelin/internal/epoch"
 	"javelin/internal/sparse"
 )
 
 // MatrixEpoch is one pinned generation of a VersionedMatrix's values.
 // Obtain one from VersionedMatrix.Pin and release it with Unpin; the
 // epoch's values are guaranteed stable for exactly that window.
-type MatrixEpoch = sparse.ValEpoch
+type MatrixEpoch = epoch.Gen
 
 // VersionedMatrix is a sparse matrix whose values may be republished
 // while solves are in flight: the live-update counterpart of the
@@ -26,7 +27,8 @@ type MatrixEpoch = sparse.ValEpoch
 // of goroutines may Pin/Unpin, solve through it, and call
 // UpdateValues simultaneously.
 type VersionedMatrix struct {
-	v *sparse.Versioned
+	pat  *sparse.CSR // shared pattern; Val is nil
+	vals *epoch.Values
 }
 
 // NewVersionedMatrix wraps m's pattern and current values as the
@@ -37,28 +39,31 @@ func NewVersionedMatrix(m *Matrix) (*VersionedMatrix, error) {
 	if m == nil || m.csr == nil {
 		return nil, errors.New("javelin: NewVersionedMatrix: nil matrix")
 	}
-	v, err := sparse.NewVersioned(m.csr)
-	if err != nil {
+	c := m.csr
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return &VersionedMatrix{v: v}, nil
+	return &VersionedMatrix{
+		pat:  &sparse.CSR{N: c.N, M: c.M, RowPtr: c.RowPtr, ColIdx: c.ColIdx},
+		vals: epoch.New(append([]float64(nil), c.Val...)),
+	}, nil
 }
 
 // N returns the number of rows.
-func (vm *VersionedMatrix) N() int { return vm.v.N() }
+func (vm *VersionedMatrix) N() int { return vm.pat.N }
 
 // Cols returns the number of columns.
-func (vm *VersionedMatrix) Cols() int { return vm.v.M() }
+func (vm *VersionedMatrix) Cols() int { return vm.pat.M }
 
 // Nnz returns the number of stored entries (fixed across epochs).
-func (vm *VersionedMatrix) Nnz() int { return vm.v.Nnz() }
+func (vm *VersionedMatrix) Nnz() int { return vm.pat.Nnz() }
 
 // Epoch returns the sequence number of the currently published value
 // generation: 1 at construction, +1 per UpdateValues/UpdateMatrix.
-func (vm *VersionedMatrix) Epoch() uint64 { return vm.v.Epoch() }
+func (vm *VersionedMatrix) Epoch() uint64 { return vm.vals.Current().Seq() }
 
 // Updates returns the number of value publications since construction.
-func (vm *VersionedMatrix) Updates() uint64 { return vm.v.Updates() }
+func (vm *VersionedMatrix) Updates() uint64 { return vm.Epoch() - 1 }
 
 // UpdateValues publishes a new value generation: one value per stored
 // entry, in the matrix's CSR entry order (row-major, columns
@@ -66,7 +71,13 @@ func (vm *VersionedMatrix) Updates() uint64 { return vm.v.Updates() }
 // in-flight solves finish on the generation they pinned, solves that
 // start after UpdateValues returns see the new values.
 func (vm *VersionedMatrix) UpdateValues(vals []float64) error {
-	return vm.v.UpdateValues(vals)
+	if len(vals) != vm.Nnz() {
+		return fmt.Errorf("javelin: UpdateValues got %d values, pattern has %d entries", len(vals), vm.Nnz())
+	}
+	return vm.vals.Publish(func(buf []float64) error {
+		copy(buf, vals)
+		return nil
+	})
 }
 
 // UpdateMatrix publishes m's values as a new generation. m must have
@@ -80,13 +91,13 @@ func (vm *VersionedMatrix) UpdateMatrix(m *Matrix) error {
 	if err := vm.samePattern(m.csr); err != nil {
 		return err
 	}
-	return vm.v.UpdateValues(m.csr.Val)
+	return vm.UpdateValues(m.csr.Val)
 }
 
 // samePattern checks that c's sparsity structure matches the
 // versioned pattern entry for entry.
 func (vm *VersionedMatrix) samePattern(c *sparse.CSR) error {
-	pat := vm.v.Pattern()
+	pat := vm.pat
 	if c.N != pat.N || c.M != pat.M {
 		return fmt.Errorf("javelin: UpdateMatrix: matrix is %d×%d, versioned pattern is %d×%d",
 			c.N, c.M, pat.N, pat.M)
@@ -109,23 +120,23 @@ func (vm *VersionedMatrix) samePattern(c *sparse.CSR) error {
 // a Pin/Unpin bracket gives a multi-step reader (a solve, a
 // refactorization, an export) one consistent A across publications.
 // Every Pin must be balanced by exactly one Unpin.
-func (vm *VersionedMatrix) Pin() *MatrixEpoch { return vm.v.Pin() }
+func (vm *VersionedMatrix) Pin() *MatrixEpoch { return vm.vals.Pin() }
 
 // Unpin releases a reference taken by Pin.
-func (vm *VersionedMatrix) Unpin(ep *MatrixEpoch) { vm.v.Unpin(ep) }
+func (vm *VersionedMatrix) Unpin(ep *MatrixEpoch) { vm.vals.Unpin(ep) }
 
 // Matrix returns an immutable snapshot of the currently published
 // generation as a plain Matrix (pattern shared, values copied).
 func (vm *VersionedMatrix) Matrix() *Matrix {
-	ep := vm.v.Pin()
-	defer vm.v.Unpin(ep)
-	c := vm.v.Pattern()
-	c.Val = append([]float64(nil), ep.Vals()...)
-	return &Matrix{csr: c}
+	ep := vm.Pin()
+	defer vm.Unpin(ep)
+	return &Matrix{csr: vm.withVals(append([]float64(nil), ep.Vals()...))}
 }
 
-// epochMatrix returns a CSR view of the given pinned epoch (pattern
-// shared, values the epoch's buffer). Valid only while ep is pinned.
-func (vm *VersionedMatrix) epochMatrix(ep *MatrixEpoch) *sparse.CSR {
-	return vm.v.View(ep)
+// withVals returns a CSR sharing the pattern with the given values
+// (one per stored entry, in CSR order).
+func (vm *VersionedMatrix) withVals(vals []float64) *sparse.CSR {
+	c := *vm.pat
+	c.Val = vals
+	return &c
 }
